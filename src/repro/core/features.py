@@ -15,20 +15,16 @@ This module provides the pieces of that pipeline:
   :class:`~repro.dbms.plan.operators.PlanNode` tree covering exactly the
   fields the featurizer reads (operator types and estimated output
   cardinalities) plus the tree shape, so equal fingerprints imply
-  bit-identical feature vectors.  The digest is memoized on the plan object
-  behind an invalidation-safe structural token, so warm callers stop
-  re-hashing the tree on every call;
+  bit-identical feature vectors.  Plans are immutable, so the digest is
+  computed once per plan object and memoized on it;
 * :class:`MemoizedFeaturizer` — a drop-in wrapper around
   :class:`~repro.core.featurizer.PlanFeaturizer` with a bounded, thread-safe
   LRU plan-feature cache and hit/miss/eviction counters
-  (:class:`FeatureCacheStats`).  The cache is per-featurizer by default; with
-  ``shared=True`` it is the *process-level* store keyed by
-  ``(featurizer config fingerprint, plan fingerprint)``, so multiple
-  registered model versions share rows across hot swaps;
+  (:class:`FeatureCacheStats`).  Each model owns one such cache;
 * :func:`feature_cache_stats` — duck-typed extraction of those counters from
   any model object, used by the serving telemetry and the CLI;
 * :func:`reconfigure_featurizer` — the single implementation behind the
-  models' ``configure_feature_cache(max_entries, shared=...)``.
+  models' ``configure_feature_cache(max_entries)``.
 
 The cache composes with the serving layer's prediction cache: the prediction
 cache answers *repeated workloads* without touching the model at all, while
@@ -40,12 +36,11 @@ combination of recurring report and dashboard queries.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -56,16 +51,11 @@ from repro.exceptions import InvalidParameterError
 
 __all__ = [
     "DEFAULT_FEATURE_CACHE_SIZE",
-    "DEFAULT_SHARED_FEATURE_CACHE_SIZE",
     "FeatureCacheStats",
     "MemoizedFeaturizer",
-    "clear_shared_feature_cache",
     "feature_cache_stats",
-    "featurizer_config_fingerprint",
     "plan_fingerprint",
     "reconfigure_featurizer",
-    "resize_shared_feature_cache",
-    "shared_feature_cache_stats",
 ]
 
 #: Default capacity of a :class:`MemoizedFeaturizer` cache.  Benchmarks use a
@@ -74,58 +64,9 @@ __all__ = [
 #: few megabytes (one 26-float row per entry).
 DEFAULT_FEATURE_CACHE_SIZE = 4096
 
-#: Default capacity of the process-level shared feature cache.  Larger than
-#: the per-model default because every registered model version (and every
-#: featurizer configuration) shares the one store.
-DEFAULT_SHARED_FEATURE_CACHE_SIZE = 16384
-
 _CARDINALITY_STRUCT = struct.Struct("<d")
 
 # -- plan fingerprints -------------------------------------------------------------
-
-#: Monotonic ids stamped onto plan nodes the first time they are tokenized.
-#: Unlike ``id()``, these are never reused, so a freed-and-reallocated node
-#: can never masquerade as the one a memoized fingerprint was computed from.
-_FP_UIDS = itertools.count(1)
-
-
-_TOKEN_PRIME = 1099511628211  # FNV-1a 64-bit prime
-_TOKEN_MASK = (1 << 64) - 1
-
-
-def _plan_token(plan: PlanNode) -> int:
-    """A cheap structural validity token for ``plan``'s fingerprint memo.
-
-    Folds, over a pre-order walk, each node's permanent uid, its mutation
-    counter (``_fp_version``, bumped by
-    :meth:`~repro.dbms.plan.operators.PlanNode.__setattr__` whenever a
-    fingerprint-relevant field is assigned) and its branching factor into one
-    64-bit rolling hash.  The uid sequence pins node identity and order, the
-    branching factor pins tree shape, and the version pins field state — so
-    any change that could alter the fingerprint (a field assignment anywhere
-    in the tree, a child replaced, a ``children`` list edited in place, even
-    swapping two look-alike subtrees) produces a different token, and a
-    memoized digest is only ever served for the exact tree state it was
-    computed from.  The walk is three integer multiplies per node: far
-    cheaper than re-digesting operator names and cardinalities.
-    """
-    token = 0xCBF29CE484222325
-    # Iterative, so token computation (like the digest itself) is safe on
-    # plans deeper than the Python recursion limit.
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        state = node.__dict__
-        uid = state.get("_fp_uid")
-        if uid is None:
-            uid = next(_FP_UIDS)
-            state["_fp_uid"] = uid
-        children = node.children
-        token = (token * _TOKEN_PRIME + uid) & _TOKEN_MASK
-        token = (token * _TOKEN_PRIME + state.get("_fp_version", 0)) & _TOKEN_MASK
-        token = (token * _TOKEN_PRIME + len(children)) & _TOKEN_MASK
-        stack.extend(children)
-    return token
 
 
 def plan_fingerprint(plan: PlanNode) -> str:
@@ -145,17 +86,14 @@ def plan_fingerprint(plan: PlanNode) -> str:
     cardinalities, detail strings) are deliberately excluded: including them
     would only fragment the cache across plans that featurize identically.
 
-    The digest is memoized on the plan object behind the structural token of
-    :func:`_plan_token`, so repeated fingerprinting of an unchanged tree (the
-    warm feature-cache path) costs one integer walk instead of a full
-    re-hash; any mutation of a fingerprint-relevant field or of the tree
-    shape invalidates the memo automatically.  The traversal is iterative, so
+    Plans are immutable, so the digest is computed once and stored in the
+    plan's ``__dict__``; later calls on the same object (the warm
+    feature-cache path) are a dict lookup.  The traversal is iterative, so
     fingerprinting is safe on plans deeper than the Python recursion limit.
     """
-    token = _plan_token(plan)
-    memo = plan.__dict__.get("_fp_memo")
-    if memo is not None and memo[0] == token:
-        return memo[1]
+    memo = plan.__dict__.get("_fingerprint")
+    if memo is not None:
+        return memo
     digest = hashlib.blake2b(digest_size=16)
     # ``None`` on the stack marks "close the current node's child list".
     stack: list[PlanNode | None] = [plan]
@@ -170,23 +108,8 @@ def plan_fingerprint(plan: PlanNode) -> str:
         stack.append(None)
         stack.extend(reversed(node.children))
     fingerprint = digest.hexdigest()
-    plan.__dict__["_fp_memo"] = (token, fingerprint)
+    plan.__dict__["_fingerprint"] = fingerprint
     return fingerprint
-
-
-def featurizer_config_fingerprint(featurizer: PlanFeaturizer) -> str:
-    """A stable key identifying a featurizer *configuration* (not instance).
-
-    Two featurizers with equal config fingerprints produce bit-identical
-    rows for equal plan fingerprints, which is the invariant that lets the
-    process-level shared feature cache serve rows across featurizer (and
-    model-version) instances.
-    """
-    return (
-        f"{type(featurizer).__module__}.{type(featurizer).__qualname__}"
-        f":log_cardinality={getattr(featurizer, 'log_cardinality', None)}"
-        f":n_features={featurizer.n_features}"
-    )
 
 
 @dataclass(frozen=True)
@@ -218,25 +141,19 @@ class FeatureCacheStats:
 
 
 class _FeatureRowStore:
-    """Bounded, thread-safe LRU store of feature rows.
-
-    One per :class:`MemoizedFeaturizer` by default; the module's shared
-    store (see :func:`shared_feature_cache_stats`) is a process-level
-    instance of the same class whose keys are prefixed with the featurizer
-    config fingerprint.
-    """
+    """Bounded, thread-safe LRU store of feature rows, keyed by plan fingerprint."""
 
     def __init__(self, max_entries: int) -> None:
         if max_entries < 1:
             raise InvalidParameterError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        self._entries: OrderedDict[Hashable, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
-    def get_many(self, keys: Sequence[Hashable]) -> list[np.ndarray | None]:
+    def get_many(self, keys: Sequence[str]) -> list[np.ndarray | None]:
         """Rows for ``keys`` (``None`` per miss), counting one hit/miss per key."""
         out: list[np.ndarray | None] = []
         with self._lock:
@@ -250,7 +167,7 @@ class _FeatureRowStore:
                 out.append(row)
         return out
 
-    def put_many(self, items: dict[Hashable, np.ndarray]) -> None:
+    def put_many(self, items: dict[str, np.ndarray]) -> None:
         with self._lock:
             for key, row in items.items():
                 self._entries[key] = row
@@ -269,14 +186,10 @@ class _FeatureRowStore:
                 max_entries=self.max_entries,
             )
 
-    def clear(self, *, prefix: str | None = None) -> None:
-        """Drop cached rows (optionally only keys whose config prefix matches)."""
+    def clear(self) -> None:
+        """Drop every cached row (counters survive)."""
         with self._lock:
-            if prefix is None:
-                self._entries.clear()
-            else:
-                for key in [k for k in self._entries if k[0] == prefix]:
-                    del self._entries[key]
+            self._entries.clear()
 
     def resize(self, max_entries: int) -> None:
         if max_entries < 1:
@@ -286,35 +199,6 @@ class _FeatureRowStore:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self._evictions += 1
-
-
-# -- the process-level shared store ------------------------------------------------
-
-_SHARED_STORE: _FeatureRowStore | None = None
-_SHARED_STORE_LOCK = threading.Lock()
-
-
-def _shared_store() -> _FeatureRowStore:
-    global _SHARED_STORE
-    with _SHARED_STORE_LOCK:
-        if _SHARED_STORE is None:
-            _SHARED_STORE = _FeatureRowStore(DEFAULT_SHARED_FEATURE_CACHE_SIZE)
-        return _SHARED_STORE
-
-
-def shared_feature_cache_stats() -> FeatureCacheStats:
-    """Counters of the process-level shared feature cache (all configs)."""
-    return _shared_store().stats()
-
-
-def clear_shared_feature_cache() -> None:
-    """Drop every row in the process-level shared cache (counters survive)."""
-    _shared_store().clear()
-
-
-def resize_shared_feature_cache(max_entries: int) -> None:
-    """Change the capacity of the process-level shared cache."""
-    _shared_store().resize(max_entries)
 
 
 class MemoizedFeaturizer:
@@ -344,45 +228,24 @@ class MemoizedFeaturizer:
         when omitted.  Wrapping an already-memoized featurizer is rejected.
     max_entries:
         Capacity bound; inserting beyond it evicts the least recently used
-        fingerprint.  With ``shared=True`` this resizes the process-level
-        store (whose capacity is global, not per featurizer).
-    shared:
-        When ``True``, rows live in the process-level store keyed by
-        ``(featurizer config fingerprint, plan fingerprint)`` instead of a
-        private cache, so every featurizer with the same configuration — in
-        particular, every registered version of a model family — shares one
-        row set across hot swaps.  Counters (:meth:`stats`) then report the
-        shared store, i.e. they are process-wide.
+        fingerprint.
     """
 
     def __init__(
-        self,
-        base: PlanFeaturizer | None = None,
-        *,
-        max_entries: int | None = None,
-        shared: bool = False,
+        self, base: PlanFeaturizer | None = None, *, max_entries: int | None = None
     ) -> None:
         if isinstance(base, MemoizedFeaturizer):
             raise InvalidParameterError("cannot memoize an already-memoized featurizer")
-        if max_entries is not None and max_entries < 1:
-            raise InvalidParameterError("max_entries must be >= 1")
         self.base = base if base is not None else PlanFeaturizer()
-        self.shared = bool(shared)
-        self._config_key = featurizer_config_fingerprint(self.base)
-        if self.shared:
-            self._store = _shared_store()
-            if max_entries is not None:
-                self._store.resize(max_entries)
-        else:
-            self._store = _FeatureRowStore(
-                max_entries if max_entries is not None else DEFAULT_FEATURE_CACHE_SIZE
-            )
+        self._store = _FeatureRowStore(
+            max_entries if max_entries is not None else DEFAULT_FEATURE_CACHE_SIZE
+        )
 
     # -- PlanFeaturizer surface ------------------------------------------------------
 
     @property
     def max_entries(self) -> int:
-        """Capacity of the backing store (the shared store's when shared)."""
+        """Capacity of the cache."""
         return self._store.max_entries
 
     @property
@@ -399,17 +262,12 @@ class MemoizedFeaturizer:
         """Human-readable names aligned with the feature vector layout."""
         return self.base.feature_names()
 
-    def _key(self, fingerprint: str) -> Hashable:
-        if self.shared:
-            return (self._config_key, fingerprint)
-        return fingerprint
-
     def featurize_plan(self, plan: PlanNode) -> np.ndarray:
         """Feature vector of a single plan, served from the cache when possible.
 
         The returned array is read-only; copy it before mutating.
         """
-        key = self._key(plan_fingerprint(plan))
+        key = plan_fingerprint(plan)
         row = self._store.get_many([key])[0]
         if row is not None:
             return row
@@ -428,36 +286,23 @@ class MemoizedFeaturizer:
         This is the vectorized batch path the prediction pipeline runs on:
         the output matrix is allocated once and cached rows are copied
         straight into it, so hits cost one fingerprint plus one row copy
-        instead of a Python re-walk of the plan tree.  Records sharing the
-        same plan *object* are fingerprinted once (and the fingerprint memo
-        on the plan object makes even that cheap on warm trees), and records
-        sharing the same fingerprint are featurized once per batch.
+        instead of a Python re-walk of the plan tree (a warm plan's
+        fingerprint is a memo lookup), and records sharing the same
+        fingerprint are featurized once per batch.
         """
         if not records:
             return np.zeros((0, self.n_features), dtype=np.float64)
-        # Replay traffic repeats QueryRecord objects; dedupe fingerprint work
-        # by plan identity first (safe: `records` keeps every plan alive for
-        # the duration of the call, so ids cannot be recycled).
-        key_by_plan_id: dict[int, Hashable] = {}
-        keys: list[Hashable] = []
-        for record in records:
-            plan = record.plan
-            key = key_by_plan_id.get(id(plan))
-            if key is None:
-                key = self._key(plan_fingerprint(plan))
-                key_by_plan_id[id(plan)] = key
-            keys.append(key)
-
+        keys = [plan_fingerprint(record.plan) for record in records]
         out = np.empty((len(records), self.n_features), dtype=np.float64)
         rows = self._store.get_many(keys)
-        misses: dict[Hashable, list[int]] = {}
+        misses: dict[str, list[int]] = {}
         for i, row in enumerate(rows):
             if row is not None:
                 out[i] = row
             else:
                 misses.setdefault(keys[i], []).append(i)
         if misses:
-            fresh: dict[Hashable, np.ndarray] = {}
+            fresh: dict[str, np.ndarray] = {}
             for key, indices in misses.items():
                 row = self.base.featurize_record(records[indices[0]])
                 row.setflags(write=False)
@@ -470,29 +315,15 @@ class MemoizedFeaturizer:
     # -- cache management ------------------------------------------------------------
 
     def stats(self) -> FeatureCacheStats:
-        """Hit/miss/eviction counters and the current occupancy.
-
-        For a shared featurizer these are the process-level store's counters
-        (all configurations combined), not this instance's alone.
-        """
+        """Hit/miss/eviction counters and the current occupancy."""
         return self._store.stats()
 
     def clear(self) -> None:
-        """Drop cached rows (counters are preserved).
-
-        A shared featurizer only drops rows belonging to its own
-        configuration; other configurations' rows stay.
-        """
-        if self.shared:
-            self._store.clear(prefix=self._config_key)
-        else:
-            self._store.clear()
+        """Drop cached rows (counters are preserved)."""
+        self._store.clear()
 
     def resize(self, max_entries: int) -> None:
-        """Change the capacity bound, evicting LRU entries when shrinking.
-
-        For a shared featurizer this resizes the process-level store.
-        """
+        """Change the capacity bound, evicting LRU entries when shrinking."""
         self._store.resize(max_entries)
 
     # -- pickling --------------------------------------------------------------------
@@ -501,21 +332,15 @@ class MemoizedFeaturizer:
         # Stores hold locks (unpicklable) and a cache inside a saved model
         # file would bloat it for no benefit (it rebuilds on first use):
         # persist only the configuration.
-        return {
-            "base": self.base,
-            "shared": self.shared,
-            "max_entries": None if self.shared else self.max_entries,
-        }
+        return {"base": self.base, "max_entries": self.max_entries}
 
     def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__init__(  # type: ignore[misc]
-            state["base"], max_entries=state.get("max_entries"), shared=state.get("shared", False)
-        )
+        self.__init__(state["base"], max_entries=state.get("max_entries"))  # type: ignore[misc]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stats = self.stats()
         return (
-            f"MemoizedFeaturizer(max_entries={self.max_entries}, shared={self.shared}, "
+            f"MemoizedFeaturizer(max_entries={self.max_entries}, "
             f"size={stats.size}, hit_rate={stats.hit_rate:.2f})"
         )
 
@@ -523,43 +348,25 @@ class MemoizedFeaturizer:
 def reconfigure_featurizer(
     featurizer: PlanFeaturizer | MemoizedFeaturizer | None,
     max_entries: int | None = None,
-    *,
-    shared: bool | None = None,
 ) -> PlanFeaturizer | MemoizedFeaturizer | None:
     """The implementation behind the models' ``configure_feature_cache``.
 
-    Returns the featurizer the model should use after applying the request:
-
-    * ``max_entries <= 0`` disables memoization (unwraps to the base
-      featurizer) regardless of ``shared``;
-    * ``shared=True`` / ``shared=False`` switches the cache between the
-      process-level shared store and a private per-model store, preserving
-      the base featurizer;
-    * ``shared=None`` keeps the current mode; a positive ``max_entries``
-      resizes (or enables, for a plain featurizer) the cache in place.
-
-    ``None`` input (a template method without a plan featurizer) is returned
-    unchanged.
+    Returns the featurizer the model should use: ``max_entries <= 0``
+    disables memoization (unwraps to the base featurizer), a positive
+    ``max_entries`` enables the cache or resizes it in place, and ``None``
+    leaves the featurizer as it is.  ``None`` input (a template method
+    without a plan featurizer) is returned unchanged.
     """
-    if featurizer is None:
-        return None
-    memoized = featurizer if isinstance(featurizer, MemoizedFeaturizer) else None
-    base = memoized.base if memoized is not None else featurizer
-    if max_entries is not None and max_entries <= 0:
-        return base
-    if shared is None:
-        if memoized is None:
-            if max_entries is None:
-                return featurizer  # nothing requested: memoization stays off
-            return MemoizedFeaturizer(base, max_entries=max_entries)
-        if max_entries is not None:
-            memoized.resize(max_entries)
-        return memoized
-    if memoized is not None and memoized.shared == shared:
-        if max_entries is not None:
-            memoized.resize(max_entries)
-        return memoized
-    return MemoizedFeaturizer(base, max_entries=max_entries, shared=shared)
+    if featurizer is None or max_entries is None:
+        return featurizer
+    if isinstance(featurizer, MemoizedFeaturizer):
+        if max_entries <= 0:
+            return featurizer.base
+        featurizer.resize(max_entries)
+        return featurizer
+    if max_entries <= 0:
+        return featurizer
+    return MemoizedFeaturizer(featurizer, max_entries=max_entries)
 
 
 def feature_cache_stats(model: Any) -> FeatureCacheStats | None:

@@ -227,21 +227,15 @@ class LearnedWMP:
         featurizer = self.featurizer
         return featurizer.stats() if isinstance(featurizer, MemoizedFeaturizer) else None
 
-    def configure_feature_cache(
-        self, max_entries: int | None = None, *, shared: bool | None = None
-    ) -> None:
+    def configure_feature_cache(self, max_entries: int | None = None) -> None:
         """Configure the plan-feature cache; ``max_entries=0`` disables it.
 
         ``max_entries > 0`` wraps a plain featurizer in a
         :class:`~repro.core.features.MemoizedFeaturizer` or resizes an
-        existing one.  ``shared=True`` switches the cache to the opt-in
-        process-level store keyed by (featurizer config fingerprint, plan
-        fingerprint), so multiple registered model versions share feature
-        rows across hot swaps; ``shared=False`` returns to a private cache.
-        No-op for template methods without a plan featurizer.
+        existing one.  No-op for template methods without a plan featurizer.
         """
         featurizer = self.featurizer
-        new = reconfigure_featurizer(featurizer, max_entries, shared=shared)
+        new = reconfigure_featurizer(featurizer, max_entries)
         if new is not featurizer and new is not None:
             self.featurizer = new
 

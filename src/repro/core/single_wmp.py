@@ -91,15 +91,9 @@ class SingleWMP:
         featurizer = self._featurizer
         return featurizer.stats() if isinstance(featurizer, MemoizedFeaturizer) else None
 
-    def configure_feature_cache(
-        self, max_entries: int | None = None, *, shared: bool | None = None
-    ) -> None:
-        """Configure the plan-feature cache; ``max_entries=0`` disables it.
-
-        ``shared=True`` opts into the process-level shared feature cache
-        (see :func:`repro.core.features.reconfigure_featurizer`).
-        """
-        new = reconfigure_featurizer(self._featurizer, max_entries, shared=shared)
+    def configure_feature_cache(self, max_entries: int | None = None) -> None:
+        """Configure the plan-feature cache; ``max_entries=0`` disables it."""
+        new = reconfigure_featurizer(self._featurizer, max_entries)
         if new is not None:
             self._featurizer = new
 

@@ -10,15 +10,22 @@ type plus the two cardinality views the rest of the system needs:
 * ``true_input_cardinality`` / ``true_cardinality`` — what actually flows
   through the operator when the query runs.  Only the ground-truth memory
   model looks at these.
+
+Plans are immutable (frozen dataclasses with tuple ``children``): planners
+build them bottom-up through the constructor, and a changed plan is a new
+tree, built with ``dataclasses.replace`` on the changed node and on every
+ancestor up to the root.  That is what lets
+:func:`repro.core.features.plan_fingerprint` compute a tree's digest once and
+keep it on the node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-__all__ = ["OperatorType", "PlanNode", "BLOCKING_OPERATORS", "FINGERPRINT_FIELDS"]
+__all__ = ["OperatorType", "PlanNode", "BLOCKING_OPERATORS"]
 
 
 class OperatorType(str, Enum):
@@ -47,15 +54,10 @@ BLOCKING_OPERATORS: frozenset[OperatorType] = frozenset(
     {OperatorType.SORT, OperatorType.HSJOIN, OperatorType.GRPBY}
 )
 
-#: PlanNode fields that participate in :func:`repro.core.features.plan_fingerprint`.
-#: Assigning any of them bumps the node's fingerprint version, which is what
-#: keeps the per-node fingerprint memo invalidation-safe (see PlanNode notes).
-FINGERPRINT_FIELDS: frozenset[str] = frozenset({"op_type", "est_cardinality", "children"})
 
-
-@dataclass
+@dataclass(frozen=True)
 class PlanNode:
-    """One operator of a query execution plan.
+    """One operator of a query execution plan (immutable, see module notes).
 
     Attributes
     ----------
@@ -72,7 +74,9 @@ class PlanNode:
     detail:
         Free-form annotation (join columns, sort keys, ...) for explain output.
     children:
-        Input operators; leaves are scans or DML value sources.
+        Input operators; leaves are scans or DML value sources.  Must be a
+        tuple: a list would be mutable in place, so the memoized
+        fingerprint could go stale, and the node would not hash.
     """
 
     op_type: OperatorType
@@ -83,26 +87,7 @@ class PlanNode:
     row_width: int = 8
     table: str | None = None
     detail: str = ""
-    children: list["PlanNode"] = field(default_factory=list)
-
-    # -- fingerprint bookkeeping --------------------------------------------------
-    #
-    # ``plan_fingerprint`` (repro.core.features) memoizes its digest on the
-    # node it was called on, guarded by a cheap structural token derived from
-    # per-node ``_fp_version`` counters.  Assigning any field the fingerprint
-    # reads (FINGERPRINT_FIELDS) bumps this node's counter, and the token
-    # walk re-reads the ``children`` lists, so *any* mutation of the subtree
-    # — field assignment, child replacement, in-place list edits — changes
-    # the token and invalidates the memo.  The bookkeeping lives in
-    # ``__dict__`` (not dataclass fields), so repr/eq/pickle semantics of the
-    # plan are unchanged.
-
-    def __setattr__(self, name: str, value: object) -> None:
-        object.__setattr__(self, name, value)
-        if name in FINGERPRINT_FIELDS:
-            state = self.__dict__
-            state["_fp_version"] = state.get("_fp_version", 0) + 1
-            state.pop("_fp_memo", None)
+    children: tuple["PlanNode", ...] = ()
 
     # -- traversal ----------------------------------------------------------------
 

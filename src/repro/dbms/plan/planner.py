@@ -115,7 +115,7 @@ class QueryPlanner:
                 else current.true_cardinality
             ),
             row_width=current.row_width,
-            children=[current],
+            children=(current,),
         )
         return root
 
@@ -149,7 +149,7 @@ class QueryPlanner:
                 true_cardinality=cards.true,
                 row_width=table.row_width,
                 table=table.name,
-                children=[ixscan],
+                children=(ixscan,),
             )
         return PlanNode(
             op_type=OperatorType.TBSCAN,
@@ -287,7 +287,7 @@ class QueryPlanner:
             true_cardinality=true,
             row_width=row_width,
             detail=detail,
-            children=[left, right],
+            children=(left, right),
         )
 
     def _add_group_by(self, statement: SelectStatement, child: PlanNode) -> PlanNode:
@@ -304,7 +304,7 @@ class QueryPlanner:
             true_cardinality=true_groups,
             row_width=group_width,
             detail=f"group by {keys}",
-            children=[child],
+            children=(child,),
         )
 
     def _add_sort(self, child: PlanNode, *, detail: str) -> PlanNode:
@@ -316,7 +316,7 @@ class QueryPlanner:
             true_cardinality=child.true_cardinality,
             row_width=child.row_width,
             detail=detail,
-            children=[child],
+            children=(child,),
         )
 
     # -- DML ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ class QueryPlanner:
             true_input_cardinality=rows,
             true_cardinality=rows,
             row_width=8,
-            children=[insert],
+            children=(insert,),
         )
 
     def _dml_scan(self, table_name: str, statement: UpdateStatement | DeleteStatement) -> PlanNode:
@@ -365,7 +365,7 @@ class QueryPlanner:
             row_width=table.row_width,
             table=table.name,
             detail=", ".join(statement.set_columns),
-            children=[scan],
+            children=(scan,),
         )
         return PlanNode(
             op_type=OperatorType.RETURN,
@@ -374,7 +374,7 @@ class QueryPlanner:
             true_input_cardinality=update.true_cardinality,
             true_cardinality=update.true_cardinality,
             row_width=8,
-            children=[update],
+            children=(update,),
         )
 
     def _plan_delete(self, statement: DeleteStatement) -> PlanNode:
@@ -388,7 +388,7 @@ class QueryPlanner:
             true_cardinality=scan.true_cardinality,
             row_width=table.row_width,
             table=table.name,
-            children=[scan],
+            children=(scan,),
         )
         return PlanNode(
             op_type=OperatorType.RETURN,
@@ -397,5 +397,5 @@ class QueryPlanner:
             true_input_cardinality=delete.true_cardinality,
             true_cardinality=delete.true_cardinality,
             row_width=8,
-            children=[delete],
+            children=(delete,),
         )

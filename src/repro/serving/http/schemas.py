@@ -184,10 +184,10 @@ def plan_from_wire(payload: Any, where: str = "plan", *, _depth: int = 0) -> Pla
     table = data.get("table")
     if table is not None:
         table = _wire_str(table, f"{where}.table")
-    children = [
+    children = tuple(
         plan_from_wire(child, f"{where}.children[{index}]", _depth=_depth + 1)
         for index, child in enumerate(_require_array(data.get("children", []), f"{where}.children"))
-    ]
+    )
     return PlanNode(
         op_type=op_type,
         est_input_cardinality=_wire_float(

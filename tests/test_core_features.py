@@ -1,6 +1,7 @@
 """Tests for the memoized featurization pipeline (plan-fingerprint cache)."""
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -11,11 +12,8 @@ from hypothesis import strategies as st
 from repro.core.features import (
     FeatureCacheStats,
     MemoizedFeaturizer,
-    clear_shared_feature_cache,
     feature_cache_stats,
-    featurizer_config_fingerprint,
     plan_fingerprint,
-    shared_feature_cache_stats,
 )
 from repro.core.featurizer import PlanFeaturizer
 from repro.dbms.plan.operators import OperatorType, PlanNode
@@ -31,9 +29,16 @@ _SETTINGS = settings(
 def _plan(card_a: float = 1000.0) -> PlanNode:
     scan_a = PlanNode(OperatorType.TBSCAN, est_cardinality=card_a, table="a")
     scan_b = PlanNode(OperatorType.TBSCAN, est_cardinality=500.0, table="b")
-    join = PlanNode(OperatorType.HSJOIN, est_cardinality=800.0, children=[scan_a, scan_b])
-    sort = PlanNode(OperatorType.SORT, est_cardinality=800.0, children=[join])
-    return PlanNode(OperatorType.RETURN, est_cardinality=800.0, children=[sort])
+    join = PlanNode(OperatorType.HSJOIN, est_cardinality=800.0, children=(scan_a, scan_b))
+    sort = PlanNode(OperatorType.SORT, est_cardinality=800.0, children=(join,))
+    return PlanNode(OperatorType.RETURN, est_cardinality=800.0, children=(sort,))
+
+
+def _with_join(plan: PlanNode, join: PlanNode) -> PlanNode:
+    """``plan`` (shaped like :func:`_plan`) with its join node replaced,
+    rebuilding the path from the join up to the root."""
+    sort = dataclasses.replace(plan.children[0], children=(join,))
+    return dataclasses.replace(plan, children=(sort,))
 
 
 @st.composite
@@ -44,7 +49,7 @@ def plan_trees(draw, depth: int = 3) -> PlanNode:
         st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False)
     )
     n_children = draw(st.integers(0, 2)) if depth > 0 else 0
-    children = [draw(plan_trees(depth=depth - 1)) for _ in range(n_children)]
+    children = tuple(draw(plan_trees(depth=depth - 1)) for _ in range(n_children))
     return PlanNode(op, est_cardinality=cardinality, children=children)
 
 
@@ -56,33 +61,40 @@ class TestPlanFingerprint:
         plan = _plan()
         assert plan_fingerprint(plan) == plan_fingerprint(copy.deepcopy(plan))
 
-    def test_cardinality_mutation_changes_fingerprint(self):
+    def test_cardinality_change_changes_fingerprint(self):
         assert plan_fingerprint(_plan(1000.0)) != plan_fingerprint(_plan(1001.0))
 
-    def test_operator_mutation_changes_fingerprint(self):
-        plan, mutated = _plan(), _plan()
-        mutated.children[0].children[0].op_type = OperatorType.MSJOIN
-        assert plan_fingerprint(plan) != plan_fingerprint(mutated)
+    def test_operator_change_changes_fingerprint(self):
+        plan = _plan()
+        join = dataclasses.replace(plan.children[0].children[0], op_type=OperatorType.MSJOIN)
+        assert plan_fingerprint(plan) != plan_fingerprint(_with_join(plan, join))
 
     def test_child_order_changes_fingerprint(self):
-        plan, swapped = _plan(), _plan()
-        join = swapped.children[0].children[0]
-        join.children = list(reversed(join.children))
-        assert plan_fingerprint(plan) != plan_fingerprint(swapped)
+        plan = _plan()
+        join = plan.children[0].children[0]
+        swapped = dataclasses.replace(join, children=join.children[::-1])
+        assert plan_fingerprint(plan) != plan_fingerprint(_with_join(plan, swapped))
 
     def test_extra_node_changes_fingerprint(self):
-        plan, extended = _plan(), _plan()
-        extended.children[0].children.append(
-            PlanNode(OperatorType.FILTER, est_cardinality=10.0)
+        plan = _plan()
+        sort = plan.children[0]
+        extra = PlanNode(OperatorType.FILTER, est_cardinality=10.0)
+        extended = dataclasses.replace(
+            plan,
+            children=(dataclasses.replace(sort, children=sort.children + (extra,)),),
         )
         assert plan_fingerprint(plan) != plan_fingerprint(extended)
 
     def test_featurizer_irrelevant_fields_do_not_fragment(self):
         # Fields the featurizer never reads are excluded from the identity.
-        plan, renamed = _plan(), _plan()
-        renamed.children[0].children[0].children[0].table = "other"
-        renamed.row_width = 64
-        renamed.true_cardinality = 123.0
+        plan = _plan()
+        join = plan.children[0].children[0]
+        scan = dataclasses.replace(join.children[0], table="other")
+        renamed = dataclasses.replace(
+            _with_join(plan, dataclasses.replace(join, children=(scan, join.children[1]))),
+            row_width=64,
+            true_cardinality=123.0,
+        )
         assert plan_fingerprint(plan) == plan_fingerprint(renamed)
 
     @_SETTINGS
@@ -93,71 +105,43 @@ class TestPlanFingerprint:
     @_SETTINGS
     @given(plan_trees())
     def test_cardinality_bump_changes_fingerprint(self, plan):
-        mutated = copy.deepcopy(plan)
-        mutated.est_cardinality = plan.est_cardinality + 1.0
-        assert plan_fingerprint(plan) != plan_fingerprint(mutated)
+        bumped = dataclasses.replace(plan, est_cardinality=plan.est_cardinality + 1.0)
+        assert plan_fingerprint(plan) != plan_fingerprint(bumped)
 
 
-class TestFingerprintMemo:
-    """The fingerprint digest is memoized on the plan object, invalidation-safe."""
+class TestImmutablePlans:
+    """Plans are frozen, so a fingerprint memoized on a plan stays valid."""
 
-    def test_repeated_fingerprint_is_stable(self):
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PlanNode)])
+    def test_assigning_any_field_raises(self, name):
+        plan = _plan()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, name, getattr(plan, name))
+
+    def test_children_are_tuples(self):
+        for node in _plan().walk():
+            assert isinstance(node.children, tuple)
+
+    def test_repeated_fingerprint_is_memoized(self):
         plan = _plan()
         first = plan_fingerprint(plan)
-        assert plan_fingerprint(plan) == first
-        assert plan.__dict__.get("_fp_memo") is not None  # memo slot populated
+        assert plan_fingerprint(plan) is first
 
-    def test_scalar_mutation_on_deep_node_invalidates_memo(self):
-        plan = _plan()
-        before = plan_fingerprint(plan)
-        plan.children[0].children[0].children[0].est_cardinality = 9999.0
-        after = plan_fingerprint(plan)
-        assert after != before
-        assert after == plan_fingerprint(_mutated_reference())
-
-    def test_op_type_mutation_invalidates_memo(self):
-        plan = _plan()
-        before = plan_fingerprint(plan)
-        plan.children[0].children[0].op_type = OperatorType.MSJOIN
-        assert plan_fingerprint(plan) != before
-
-    def test_in_place_child_append_invalidates_memo(self):
-        plan = _plan()
-        before = plan_fingerprint(plan)
-        plan.children[0].children.append(PlanNode(OperatorType.FILTER, est_cardinality=1.0))
-        assert plan_fingerprint(plan) != before
-
-    def test_in_place_child_reversal_invalidates_memo(self):
+    def test_replace_on_deep_node_matches_fresh_reference(self):
         plan = _plan()
         before = plan_fingerprint(plan)
         join = plan.children[0].children[0]
-        join.children.reverse()
-        assert plan_fingerprint(plan) != before
+        scan = dataclasses.replace(join.children[0], est_cardinality=9999.0)
+        changed = _with_join(plan, dataclasses.replace(join, children=(scan, join.children[1])))
+        assert plan_fingerprint(changed) == plan_fingerprint(_plan(9999.0))
+        assert plan_fingerprint(changed) != before
+        assert plan_fingerprint(plan) == before  # the original is untouched
 
-    def test_irrelevant_field_mutation_keeps_memo_valid(self):
+    def test_pickle_round_trip_keeps_fingerprint(self):
         plan = _plan()
         before = plan_fingerprint(plan)
-        plan.row_width = 999
-        plan.true_cardinality = 123.0
-        plan.detail = "changed"
-        assert plan_fingerprint(plan) == before
-
-    def test_mutate_then_revert_matches_fresh_tree(self):
-        plan = _plan()
-        plan_fingerprint(plan)
-        plan.est_cardinality = 1.0
-        plan_fingerprint(plan)
-        plan.est_cardinality = 800.0  # back to the original value
-        assert plan_fingerprint(plan) == plan_fingerprint(_plan())
-
-    def test_pickle_round_trip_keeps_fingerprint_correct(self):
-        plan = _plan()
-        before = plan_fingerprint(plan)
-        restored = pickle.loads(pickle.dumps(plan))
-        assert plan_fingerprint(restored) == before
-        restored.est_cardinality = 1.0  # the copy invalidates independently
-        assert plan_fingerprint(restored) != before
-        assert plan_fingerprint(plan) == before
+        assert plan_fingerprint(pickle.loads(pickle.dumps(plan))) == before
+        assert plan_fingerprint(pickle.loads(pickle.dumps(_plan()))) == before
 
     @_SETTINGS
     @given(plan_trees())
@@ -165,104 +149,7 @@ class TestFingerprintMemo:
         first = plan_fingerprint(plan)
         assert plan_fingerprint(plan) == first
         assert plan_fingerprint(copy.deepcopy(plan)) == first
-
-
-def _mutated_reference() -> PlanNode:
-    plan = _plan()
-    plan.children[0].children[0].children[0].est_cardinality = 9999.0
-    return plan
-
-
-class TestSharedFeatureCache:
-    """Opt-in process-level cache keyed by (featurizer config, plan fingerprint)."""
-
-    def setup_method(self):
-        clear_shared_feature_cache()
-
-    def test_same_config_shares_rows_across_instances(self):
-        a = MemoizedFeaturizer(PlanFeaturizer(), shared=True)
-        b = MemoizedFeaturizer(PlanFeaturizer(), shared=True)
-        misses_before = shared_feature_cache_stats().misses
-        row_a = a.featurize_plan(_plan())
-        hits_before = shared_feature_cache_stats().hits
-        row_b = b.featurize_plan(_plan())
-        stats = shared_feature_cache_stats()
-        assert np.array_equal(row_a, row_b)
-        assert stats.hits == hits_before + 1  # b was served from a's row
-        assert stats.misses == misses_before + 1
-
-    def test_different_configs_do_not_collide(self):
-        logged = MemoizedFeaturizer(PlanFeaturizer(log_cardinality=True), shared=True)
-        raw = MemoizedFeaturizer(PlanFeaturizer(log_cardinality=False), shared=True)
-        row_logged = logged.featurize_plan(_plan())
-        row_raw = raw.featurize_plan(_plan())
-        assert not np.array_equal(row_logged, row_raw)
-        assert featurizer_config_fingerprint(logged.base) != featurizer_config_fingerprint(
-            raw.base
-        )
-
-    def test_clear_only_drops_own_config(self):
-        logged = MemoizedFeaturizer(PlanFeaturizer(log_cardinality=True), shared=True)
-        raw = MemoizedFeaturizer(PlanFeaturizer(log_cardinality=False), shared=True)
-        logged.featurize_plan(_plan())
-        raw.featurize_plan(_plan())
-        size_before = shared_feature_cache_stats().size
-        logged.clear()
-        assert shared_feature_cache_stats().size == size_before - 1
-        hits_before = shared_feature_cache_stats().hits
-        raw.featurize_plan(_plan())  # raw config survived the clear
-        assert shared_feature_cache_stats().hits == hits_before + 1
-
-    def test_private_caches_are_unaffected(self):
-        private = MemoizedFeaturizer(PlanFeaturizer())
-        shared = MemoizedFeaturizer(PlanFeaturizer(), shared=True)
-        private.featurize_plan(_plan())
-        assert shared_feature_cache_stats().size == 0
-        shared.featurize_plan(_plan())
-        assert private.stats().size == 1
-
-    def test_configure_feature_cache_shared_opt_in(self, tpcds_small):
-        from repro.core.model import LearnedWMP
-        from repro.core.workload import make_workloads
-
-        workloads = make_workloads(tpcds_small.test_records[:60], 10, seed=0)
-
-        def fit_model():
-            model = LearnedWMP(
-                regressor="ridge", n_templates=8, batch_size=10, random_state=0
-            )
-            model.fit(tpcds_small.train_records[:200])
-            return model
-
-        v1, v2 = fit_model(), fit_model()
-        v1.configure_feature_cache(shared=True)
-        v2.configure_feature_cache(shared=True)
-        assert v1.featurizer.shared and v2.featurizer.shared
-        expected = v1.predict(workloads)
-        hits_before = shared_feature_cache_stats().hits
-        # The hot-swapped second version reuses v1's rows: every plan hits.
-        assert np.array_equal(v2.predict(workloads), expected)
-        assert shared_feature_cache_stats().hits >= hits_before + 60
-        # Opting back out returns to a private cache.
-        v2.configure_feature_cache(shared=False)
-        assert v2.featurizer.shared is False
-
-    def test_mixed_hits_and_misses_in_one_batch(self, tpcds_small):
-        a = MemoizedFeaturizer(PlanFeaturizer(), shared=True)
-        b = MemoizedFeaturizer(PlanFeaturizer(), shared=True)
-        records = tpcds_small.train_records[:40]
-        a.featurize_records(records[:20])
-        expected = PlanFeaturizer().featurize_records(records)
-        assert np.array_equal(b.featurize_records(records), expected)
-
-    def test_pickle_keeps_shared_flag(self):
-        shared = MemoizedFeaturizer(PlanFeaturizer(), shared=True)
-        restored = pickle.loads(pickle.dumps(shared))
-        assert restored.shared is True
-        shared.featurize_plan(_plan())
-        hits_before = shared_feature_cache_stats().hits
-        restored.featurize_plan(_plan())  # rebinds to the same process store
-        assert shared_feature_cache_stats().hits == hits_before + 1
+        assert plan_fingerprint(pickle.loads(pickle.dumps(plan))) == first
 
 
 class TestMemoizedFeaturizer:
@@ -376,6 +263,13 @@ class TestMemoizedFeaturizer:
         assert restored.max_entries == 17
         assert restored.log_cardinality is False
         assert np.array_equal(restored.featurize_plan(_plan()), expected)
+
+    def test_mixed_hits_and_misses_in_one_batch(self, tpcds_small):
+        memoized = MemoizedFeaturizer(PlanFeaturizer())
+        records = tpcds_small.train_records[:40]
+        memoized.featurize_records(records[:20])  # warm half the batch
+        expected = PlanFeaturizer().featurize_records(records)
+        assert np.array_equal(memoized.featurize_records(records), expected)
 
     def test_batch_with_duplicate_plans_computes_once(self, tpcds_small):
         record = tpcds_small.train_records[0]

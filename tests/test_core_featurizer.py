@@ -10,9 +10,9 @@ from repro.dbms.plan.operators import OperatorType, PlanNode
 def _plan() -> PlanNode:
     scan_a = PlanNode(OperatorType.TBSCAN, est_cardinality=1000.0, table="a")
     scan_b = PlanNode(OperatorType.TBSCAN, est_cardinality=500.0, table="b")
-    join = PlanNode(OperatorType.HSJOIN, est_cardinality=800.0, children=[scan_a, scan_b])
-    sort = PlanNode(OperatorType.SORT, est_cardinality=800.0, children=[join])
-    return PlanNode(OperatorType.RETURN, est_cardinality=800.0, children=[sort])
+    join = PlanNode(OperatorType.HSJOIN, est_cardinality=800.0, children=(scan_a, scan_b))
+    sort = PlanNode(OperatorType.SORT, est_cardinality=800.0, children=(join,))
+    return PlanNode(OperatorType.RETURN, est_cardinality=800.0, children=(sort,))
 
 
 class TestPlanFeaturizer:

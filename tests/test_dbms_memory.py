@@ -16,7 +16,7 @@ def _sort_node(rows: float, width: int = 64) -> PlanNode:
         est_input_cardinality=rows,
         est_cardinality=rows,
         row_width=width,
-        children=[child],
+        children=(child,),
     )
 
 
@@ -39,7 +39,7 @@ def _hash_join(build_rows: float, probe_rows: float, width: int = 32) -> PlanNod
         true_cardinality=probe_rows,
         true_input_cardinality=build_rows + probe_rows,
         row_width=2 * width,
-        children=[build, probe],
+        children=(build, probe),
     )
 
 
@@ -84,7 +84,7 @@ class TestPeakMemory:
         join = _hash_join(20_000, 500_000)
         combined = PlanNode(
             OperatorType.RETURN,
-            children=[PlanNode(OperatorType.SORT, true_input_cardinality=50_000, row_width=64, children=[join])],
+            children=(PlanNode(OperatorType.SORT, true_input_cardinality=50_000, row_width=64, children=(join,)),),
         )
         alone_join = model.peak_memory_mb(join)
         assert model.peak_memory_mb(combined) > alone_join

@@ -10,10 +10,10 @@ def _sample_plan() -> PlanNode:
         OperatorType.HSJOIN,
         est_cardinality=900.0,
         row_width=48,
-        children=[scan_left, scan_right],
+        children=(scan_left, scan_right),
     )
-    group = PlanNode(OperatorType.GRPBY, est_cardinality=20.0, children=[join])
-    return PlanNode(OperatorType.RETURN, est_cardinality=20.0, children=[group])
+    group = PlanNode(OperatorType.GRPBY, est_cardinality=20.0, children=(join,))
+    return PlanNode(OperatorType.RETURN, est_cardinality=20.0, children=(group,))
 
 
 class TestPlanNode:

@@ -11,7 +11,7 @@ from repro.dbms.plan.planner import QueryPlanner
 class TestHeuristicMemoryEstimator:
     def test_minimum_grant_enforced(self):
         estimator = HeuristicMemoryEstimator()
-        trivial = PlanNode(OperatorType.RETURN, children=[PlanNode(OperatorType.TBSCAN)])
+        trivial = PlanNode(OperatorType.RETURN, children=(PlanNode(OperatorType.TBSCAN),))
         assert estimator.estimate_mb(trivial) == pytest.approx(
             HeuristicEstimatorConfig().minimum_grant_mb
         )
@@ -24,7 +24,7 @@ class TestHeuristicMemoryEstimator:
             est_cardinality=400_000,
             row_width=64,
         )
-        estimate = estimator.estimate_mb(PlanNode(OperatorType.RETURN, children=[sort]))
+        estimate = estimator.estimate_mb(PlanNode(OperatorType.RETURN, children=(sort,)))
         assert estimate % 4.0 == pytest.approx(0.0)
 
     def test_estimate_grows_with_estimated_cardinality(self):
@@ -33,14 +33,14 @@ class TestHeuristicMemoryEstimator:
         def sort_plan(rows: float) -> PlanNode:
             return PlanNode(
                 OperatorType.RETURN,
-                children=[
+                children=(
                     PlanNode(
                         OperatorType.SORT,
                         est_input_cardinality=rows,
                         est_cardinality=rows,
                         row_width=64,
-                    )
-                ],
+                    ),
+                ),
             )
 
         assert estimator.estimate_mb(sort_plan(5_000_000)) > estimator.estimate_mb(
@@ -59,7 +59,7 @@ class TestHeuristicMemoryEstimator:
             true_cardinality=1_000_000,
             row_width=400,
         )
-        plan = PlanNode(OperatorType.RETURN, children=[wide_sort])
+        plan = PlanNode(OperatorType.RETURN, children=(wide_sort,))
         assert estimator.estimate_mb(plan) < truth.peak_memory_mb(plan)
 
     def test_uses_estimated_not_true_cardinality(self):
@@ -70,7 +70,7 @@ class TestHeuristicMemoryEstimator:
             true_input_cardinality=10_000_000,  # reality is much bigger
             row_width=64,
         )
-        plan = PlanNode(OperatorType.RETURN, children=[sort])
+        plan = PlanNode(OperatorType.RETURN, children=(sort,))
         # The estimate stays small because it only sees the estimated rows.
         assert estimator.estimate_mb(plan) <= 8.0
 

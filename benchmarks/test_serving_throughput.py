@@ -7,12 +7,11 @@ workload shapes are answered from the LRU cache, identical in-flight
 requests are coalesced into one computation, and the residual misses are
 micro-batched into vectorized ``predict`` calls.
 
-The backend comparison at the bottom measures the same replay stream on all
-three serving fronts — the thread-backed server, the asyncio event-loop
-backend, and a 2-shard consistent-hash fleet — and checks that they answer
-identically and that the thread-backed front beats the naive loop.
-The CLI emits the same comparison into ``BENCH_serving.json`` via
-``learnedwmp loadtest --backend ... --shards ...``.
+The front comparison at the bottom measures the same replay stream on both
+serving fronts — the thread-backed server and a 2-shard consistent-hash
+fleet — and checks that they answer identically and that the thread-backed
+front beats the naive loop.  The CLI emits the same comparison into
+``BENCH_serving.json`` via ``learnedwmp loadtest --shards ...``.
 
 Each timed pass lasts only 20-50 ms, and the machine's speed can change
 twofold between passes, so one pass proves nothing.  Naive and served
@@ -37,12 +36,7 @@ from repro.core.model import LearnedWMP
 from repro.core.workload import Workload, make_workloads
 from repro.exceptions import DeadlineExceededError
 from repro.registry import ShardedModelRegistry
-from repro.serving import (
-    AsyncPredictionServer,
-    PredictionServer,
-    ServerConfig,
-    ShardedPredictionServer,
-)
+from repro.serving import PredictionServer, ServerConfig, ShardedPredictionServer
 from repro.serving.kernel import (
     Complete,
     Fail,
@@ -152,25 +146,22 @@ def _drive(server, requests) -> tuple[float, "np.ndarray"]:
 def _make_server(kind: str, model, config: ServerConfig):
     if kind == "thread":
         return PredictionServer(model, config=config)
-    if kind == "asyncio":
-        return AsyncPredictionServer(model, config=config)
     registry = ShardedModelRegistry(n_shards=2)
     registry.register_replicated("default", model)
-    return ShardedPredictionServer(registry, backend="thread", config=config)
+    return ShardedPredictionServer(registry, config=config)
 
 
-def test_backend_comparison_thread_vs_asyncio_vs_sharded(benchmark):
-    """All three serving fronts answer identically and save model work.
+def test_backend_comparison_thread_vs_sharded(benchmark):
+    """Both serving fronts answer identically and save model work.
 
     The thread front must beat the naive loop (median speedup 1.15-1.65x
-    on this stream).  The other two fronts' speedups are printed, not
-    asserted: asyncio reads 0.7-1.0x, so it only matches the naive loop,
-    and the 2-shard fleet 1.1-1.6x with single passes down to 0.76x (the
-    thread front's lowest pass read 1.18x), too close to 1 to assert.
+    on this stream).  The 2-shard fleet's speedup is printed, not asserted:
+    it reads 1.1-1.6x with single passes down to 0.76x (the thread front's
+    lowest pass read 1.18x), too close to 1 to assert.
     """
     model, requests = _setup()
     model.predict_workload(requests[0])  # warm lazy caches fairly
-    kinds = ("thread", "asyncio", "sharded")
+    kinds = ("thread", "sharded")
 
     config = ServerConfig(max_batch_size=64, max_wait_s=0.002)
     naive: list[float] = []
@@ -200,8 +191,7 @@ def test_backend_comparison_thread_vs_asyncio_vs_sharded(benchmark):
             f"({speedup[kind]:6.2f}x naive)"
         )
 
-    # Identical answers on every backend (same model, caches are exact).
-    np.testing.assert_allclose(answers["asyncio"], answers["thread"], rtol=1e-9)
+    # Identical answers on both fronts (same model, caches are exact).
     np.testing.assert_allclose(answers["sharded"], answers["thread"], rtol=1e-9)
     # Every front answers repeats from the cache or by coalescing, so fewer
     # requests reach the model than the naive loop sends it.
@@ -231,7 +221,7 @@ class _RecordingModel:
 
 
 def test_deadline_traffic_sheds_expired_and_preserves_answers(benchmark):
-    """The end-to-end deadline contract, on all three serving fronts.
+    """The end-to-end deadline contract, on both serving fronts.
 
     Interleave the replay stream (every request under a generous deadline)
     with doomed requests whose budget is already spent.  The doomed ones
@@ -254,7 +244,7 @@ def test_deadline_traffic_sheds_expired_and_preserves_answers(benchmark):
     outcomes: dict[str, dict] = {}
 
     def _run_all() -> None:
-        for kind in ("thread", "asyncio", "sharded"):
+        for kind in ("thread", "sharded"):
             recorder = _RecordingModel(model)
             with _make_server(kind, recorder, config) as server:
                 live = [
@@ -380,7 +370,7 @@ def _replay_through_kernel(compiled, config, service_s):
     """Replay a compiled schedule through a bare :class:`PipelineKernel`.
 
     Time is virtual: each request arrives at its compiled offset, and one
-    model worker (as in both serving backends) runs each flushed batch for a
+    model worker (as in the serving front) runs each flushed batch for a
     fixed ``service_s``, taking ready batches in ``flush_priority`` order.
     The run is deterministic.  Returns per-tenant ``Counter``s of
     ``answered`` / ``late`` / ``shed`` / ``errors``.
@@ -450,8 +440,8 @@ def test_two_tenant_contention_keeps_steady_tenant_clean(benchmark):
 
     The SLO claim is checked on a virtual-clock replay of the compiled
     schedule through the kernel, so it does not depend on how fast the
-    machine runs the model.  The live thread and asyncio runs then check
-    that every scheduled request is accounted for on both backends.
+    machine runs the model.  The live single-server and 2-shard runs then
+    check that every scheduled request is accounted for on both fronts.
     """
     from repro.serving import LoadGenerator
     from repro.workloads.scenarios import compile_scenario, load_scenario
@@ -488,9 +478,8 @@ def test_two_tenant_contention_keeps_steady_tenant_clean(benchmark):
     reports: dict[str, object] = {}
 
     def _run():
-        for kind in ("thread", "asyncio"):
-            server_cls = PredictionServer if kind == "thread" else AsyncPredictionServer
-            with server_cls(model, config=config) as server:
+        for kind in ("thread", "sharded"):
+            with _make_server(kind, model, config) as server:
                 reports[kind] = LoadGenerator.from_scenario(server, compiled).run()
 
     run_once(benchmark, _run)
@@ -508,9 +497,9 @@ def test_two_tenant_contention_keeps_steady_tenant_clean(benchmark):
                 f"evicted {tenant.shed_priority_evict:4d})"
             )
 
-    # Same compiled schedule, same per-tenant conservation on every backend:
+    # Same compiled schedule, same per-tenant conservation on every front:
     # every scheduled request is either answered or shed (never lost), and
-    # the per-tenant totals are a property of the scenario, not the backend.
+    # the per-tenant totals are a property of the scenario, not the front.
     scheduled = compiled.tenant_counts()
     for kind, report in reports.items():
         accounted = {

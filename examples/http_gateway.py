@@ -4,7 +4,7 @@ Walks the network front end to end, inside one process for reproducibility:
 
 1. train two model versions and register both,
 2. stand up an :class:`~repro.serving.http.gateway.HttpGateway` over an
-   asyncio prediction server (ephemeral port),
+   in-process prediction server (ephemeral port),
 3. drive it with a :class:`~repro.serving.http.client.GatewayClient` — the
    same ``Predictor`` protocol as in-process, now over HTTP/1.1 JSON —
    and check the answers are bit-identical to the in-process path,
@@ -19,7 +19,6 @@ Run with:  PYTHONPATH=src python examples/http_gateway.py
 from __future__ import annotations
 
 from repro import (
-    AsyncPredictionServer,
     GatewayClient,
     GatewayConfig,
     HttpGateway,
@@ -27,6 +26,7 @@ from repro import (
     LoadGenerator,
     ModelRegistry,
     PredictionRequest,
+    PredictionServer,
     generate_dataset,
     make_workloads,
 )
@@ -61,7 +61,7 @@ def main() -> None:
     registry.register("default", v1)  # version 1, auto-promoted
     registry.register("default", v2)  # version 2, passive until promoted
 
-    with AsyncPredictionServer(registry, model_name="default") as server:
+    with PredictionServer(registry, model_name="default") as server:
         with HttpGateway(server, config=GatewayConfig(port=0)) as gateway:
             print(f"\nGateway listening on {gateway.url}")
             with GatewayClient(gateway.url) as client:

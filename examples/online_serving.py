@@ -3,12 +3,13 @@
 Walks the full lifecycle of serving LearnedWMP predictions online:
 
 1. train two model versions (a quick ridge model and a stronger XGBoost one),
-2. register both in a :class:`~repro.serving.registry.ModelRegistry`,
+2. register both in a :class:`~repro.registry.ModelRegistry`,
 3. serve version 1 through a :class:`~repro.serving.server.PredictionServer`
    (micro-batching + LRU/TTL prediction cache + request coalescing),
 4. load-test it with skewed replay traffic at a target request rate,
 5. hot-swap to version 2 (and roll back) without restarting the server,
-6. serve the same model on the asyncio backend and on a 2-shard
+6. await the same server from an asyncio event loop
+   (``predict_batch_async``), then serve the same model on a 2-shard
    consistent-hash fleet — the same traffic, the same protocol, the same
    answers.
 
@@ -17,8 +18,9 @@ Run with:  PYTHONPATH=src python examples/online_serving.py
 
 from __future__ import annotations
 
+import asyncio
+
 from repro import (
-    AsyncPredictionServer,
     LearnedWMP,
     LoadGenerator,
     ModelRegistry,
@@ -109,23 +111,27 @@ def main() -> None:
                 f"without re-walking the plan)"
             )
 
-    print(f"\nSame traffic on the asyncio backend at {TARGET_QPS:.0f} req/s ...")
-    with AsyncPredictionServer(v1, config=config) as aio_server:
-        aio_report = LoadGenerator(
-            aio_server, requests, qps=TARGET_QPS, benchmark=BENCHMARK
-        ).run()
+    print("\nThe same server, awaited from an asyncio event loop ...")
+    with PredictionServer(v1, config=config) as server:
+
+        async def ask_all():
+            # All requests are in flight before the first await, so the
+            # server's micro-batcher still forms real batches.
+            typed = [PredictionRequest.of(w) for w in requests[:32]]
+            return await server.predict_batch_async(typed)
+
+        answers = asyncio.run(ask_all())
+        stats = server.batcher_stats()
         print(
-            f"  asyncio backend : {aio_report.achieved_qps:8.1f} req/s, "
-            f"p95 {aio_report.latency_p95_ms:.2f} ms, "
-            f"cache hit rate {100.0 * aio_report.cache_hit_rate:.1f} %"
+            f"  predict_batch_async : {len(answers)} answers, "
+            f"mean batch {stats.mean_batch_size:.1f}, "
+            f"first {answers[0].memory_mb:.1f} MB"
         )
 
     print("\nSame traffic on a 2-shard consistent-hash fleet ...")
     sharded_registry = ShardedModelRegistry(n_shards=2)
     sharded_registry.register_replicated("tpcds", v1)
-    with ShardedPredictionServer(
-        sharded_registry, model_name="tpcds", backend="thread", config=config
-    ) as fleet:
+    with ShardedPredictionServer(sharded_registry, model_name="tpcds", config=config) as fleet:
         fleet_report = LoadGenerator(
             fleet, requests, qps=TARGET_QPS, benchmark=BENCHMARK
         ).run()

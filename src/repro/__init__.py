@@ -75,7 +75,6 @@ from repro.registry import (
     ShardedModelRegistry,
 )
 from repro.serving import (
-    AsyncPredictionServer,
     GatewayClient,
     GatewayConfig,
     HttpGateway,
@@ -134,7 +133,6 @@ __all__ = [
     "ConsistentHashRing",
     "ShardedModelRegistry",
     "PredictionServer",
-    "AsyncPredictionServer",
     "ShardedPredictionServer",
     "ServerConfig",
     "HttpGateway",

@@ -21,19 +21,17 @@ cover the day-to-day tasks of working with the reproduction:
     LRU/TTL caching) around a trained or freshly trained model, drive it
     with replayed benchmark traffic and print the serving telemetry —
     including the model's plan-feature cache counters (sized with
-    ``--feature-cache-size``).  ``--backend {thread,asyncio}`` selects the
-    thread-based worker or the asyncio event-loop backend; ``--shards N``
-    serves through a consistent-hash
-    :class:`~repro.serving.sharded.ShardedPredictionServer` over an
-    N-shard registry.
+    ``--feature-cache-size``).  ``--shards N`` serves through a
+    consistent-hash :class:`~repro.serving.sharded.ShardedPredictionServer`
+    over an N-shard registry.
 
 ``loadtest``
     Replay skewed benchmark traffic against a served model at a target QPS
     and report throughput, latency percentiles and the hit rates of both
     cache tiers — the prediction cache and the plan-feature cache
     (optionally as JSON for the benchmark trajectory).  Takes the same
-    ``--backend`` / ``--shards`` flags as ``serve``, so thread, asyncio and
-    sharded configurations are load-tested with one command.
+    ``--shards`` flag as ``serve``, so single-server and sharded
+    configurations are load-tested with one command.
     ``--deadline-ms`` injects a per-request deadline into the replayed
     traffic; the serving tier enforces it end-to-end (expired requests are
     shed before model execution) and the report carries
@@ -52,7 +50,7 @@ cover the day-to-day tasks of working with the reproduction:
 ``gateway``
     Stand up an HTTP/1.1 JSON gateway (``repro.serving.http``) in front of a
     served model and block until ``--duration-s`` elapses (or Ctrl-C).
-    Takes the same model/backend flags as ``serve`` plus ``--host`` /
+    Takes the same model/serving flags as ``serve`` plus ``--host`` /
     ``--port``; see ``docs/GATEWAY.md`` for the wire protocol.
 
 ``figures``
@@ -137,12 +135,6 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_FEATURE_CACHE_SIZE,
         help="plan-feature cache entries on the served model (0 disables memoization)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("thread", "asyncio"),
-        default="thread",
-        help="serving backend: thread-based worker or asyncio event loop",
     )
     parser.add_argument(
         "--shards",
@@ -368,18 +360,13 @@ def _make_server(
     :class:`~repro.registry.ShardedModelRegistry` with the model replicated
     on every shard behind a
     :class:`~repro.serving.sharded.ShardedPredictionServer`; otherwise a
-    single-registry server of the selected ``--backend`` (thread-based
-    worker or asyncio event loop) is stood up.  ``tenant_weights`` /
+    single-registry :class:`~repro.serving.server.PredictionServer` is
+    stood up.  ``tenant_weights`` /
     ``tenant_max_inflight`` are scenario-derived quota defaults; explicit
     ``--tenant-weight`` / ``--tenant-max-inflight`` flags override them.
     """
     from repro.registry import ModelRegistry, ShardedModelRegistry
-    from repro.serving import (
-        AsyncPredictionServer,
-        PredictionServer,
-        ServerConfig,
-        ShardedPredictionServer,
-    )
+    from repro.serving import PredictionServer, ServerConfig, ShardedPredictionServer
 
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
@@ -403,14 +390,11 @@ def _make_server(
     if args.shards > 1:
         registry = ShardedModelRegistry(args.shards)
         registry.register_replicated("default", model)
-        server = ShardedPredictionServer(
-            registry, model_name="default", backend=args.backend, config=config
-        )
+        server = ShardedPredictionServer(registry, model_name="default", config=config)
     else:
         registry = ModelRegistry()
         registry.register("default", model)
-        server_cls = PredictionServer if args.backend == "thread" else AsyncPredictionServer
-        server = server_cls(registry, model_name="default", config=config)
+        server = PredictionServer(registry, model_name="default", config=config)
     return registry, server
 
 
@@ -451,7 +435,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     registry, server, requests = _serving_setup(args)
     print(
         f"serving model 'default' v{registry.active_version('default')} "
-        f"(backend={args.backend}, shards={args.shards}, "
+        f"(shards={args.shards}, "
         f"cache={'on' if not args.no_cache else 'off'}, "
         f"batching={'on' if not args.no_batching else 'off'})"
     )
@@ -510,7 +494,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         print(
             f"gateway listening on {gateway.url} "
             f"(model 'default' v{registry.active_version('default')}, "
-            f"backend={args.backend}, shards={args.shards})",
+            f"shards={args.shards})",
             flush=True,
         )
         try:
@@ -647,7 +631,7 @@ def _cmd_loadtest_scenario(args: argparse.Namespace) -> int:
             tenant_weights=spec.tenant_weights(),
             tenant_max_inflight=spec.tenant_max_inflight(),
         )
-        print(f"replaying (backend={args.backend}, shards={args.shards}) ...\n")
+        print(f"replaying (shards={args.shards}) ...\n")
         with server:
             report = LoadGenerator.from_scenario(server, compiled).run()
 
@@ -659,7 +643,6 @@ def _cmd_loadtest_scenario(args: argparse.Namespace) -> int:
             payload["transport"] = "http"
             payload["url"] = args.url
         else:
-            payload["backend"] = args.backend
             payload["shards"] = args.shards
         _write_loadtest_json(payload, args.output, args.section)
         print(f"wrote JSON report to {args.output}")
@@ -679,7 +662,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     _, server, requests = _serving_setup(args)
     print(
         f"load-testing at {args.qps:.0f} req/s with {len(requests)} requests "
-        f"(backend={args.backend}, shards={args.shards}) ...\n"
+        f"(shards={args.shards}) ...\n"
     )
     with server:
         from repro.serving import LoadGenerator
@@ -721,7 +704,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         print(f"serving speedup     : {report.achieved_qps / naive_qps:.2f}x")
     if args.output is not None:
         payload = report.to_dict()
-        payload["backend"] = args.backend
         payload["shards"] = args.shards
         payload["parity_max_delta_mb"] = parity_delta
         if args.deadline_ms is not None:

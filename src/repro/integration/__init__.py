@@ -16,8 +16,8 @@ implements those consumers so the predictor can be exercised end to end:
   per-batch demand,
 * :mod:`repro.integration.drift` — workload-drift detection on template
   histograms and on prediction-error feedback,
-* :mod:`repro.integration.lifecycle` — model registry and the pre-train /
-  deploy / observe / retrain loop,
+* :mod:`repro.integration.lifecycle` — the pre-train / deploy / observe /
+  retrain loop over the unified :mod:`repro.registry`,
 * :mod:`repro.integration.simulation` — a memory-governed concurrent-execution
   simulator that turns prediction quality into makespan / spill effects.
 """
@@ -35,10 +35,6 @@ from repro.integration.drift import (
     HistogramDriftDetector,
     population_stability_index,
 )
-# ModelRegistry/ModelVersion resolve to the unified repro.registry classes —
-# the deprecated single-lineage shim stays reachable only at its full path
-# (repro.integration.lifecycle.ModelRegistry), so the bare name is
-# unambiguous across repro, repro.serving and repro.integration.
 from repro.integration.lifecycle import ModelLifecycleManager, RetrainDecision
 from repro.registry import ModelRegistry, ModelVersion
 from repro.integration.predictors import (

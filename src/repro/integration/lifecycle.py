@@ -13,14 +13,11 @@ registry an online :class:`~repro.serving.server.PredictionServer` resolves
 its active model from — so a retrain+promote here hot-swaps a running server
 on its next batch, and the per-name lineage (training-record counts,
 validation MAPE, retrain reasons) is recorded on the very versions the server
-serves.  The single-lineage ``ModelRegistry`` that used to live in this
-module remains importable as a deprecation shim wrapping one name of the
-unified registry.
+serves.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -28,76 +25,11 @@ from repro.api import PredictionRequest, as_predictor
 from repro.core.model import LearnedWMP
 from repro.core.workload import make_workloads
 from repro.dbms.query_log import QueryRecord
-from repro.exceptions import InvalidParameterError, NotFittedError
+from repro.exceptions import InvalidParameterError
 from repro.integration.drift import DriftReport, ErrorDriftDetector, HistogramDriftDetector
-from repro.registry import ModelRegistry as UnifiedModelRegistry
-from repro.registry import ModelVersion
+from repro.registry import ModelRegistry, ModelVersion
 
-__all__ = ["ModelVersion", "ModelRegistry", "RetrainDecision", "ModelLifecycleManager"]
-
-
-class ModelRegistry:
-    """Deprecated single-lineage view over :class:`repro.registry.ModelRegistry`.
-
-    The old lifecycle registry tracked exactly one lineage of retrained
-    versions.  This shim keeps that surface (``register`` with training
-    provenance, ``current``, ``history``, ``len``) as a view over one name
-    of the unified registry; new code should use
-    :class:`repro.registry.ModelRegistry` directly.
-    """
-
-    _deprecation_warned = False
-
-    def __init__(
-        self, *, registry: UnifiedModelRegistry | None = None, name: str = "default"
-    ) -> None:
-        cls = ModelRegistry
-        if not cls._deprecation_warned:
-            cls._deprecation_warned = True
-            warnings.warn(
-                "repro.integration.lifecycle.ModelRegistry is deprecated; "
-                "use repro.registry.ModelRegistry (named lineages via "
-                "history()/latest()) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.registry = registry if registry is not None else UnifiedModelRegistry()
-        self.name = name
-
-    def register(
-        self,
-        model: LearnedWMP,
-        *,
-        n_training_records: int,
-        validation_mape: float | None,
-        reason: str,
-    ) -> ModelVersion:
-        """Add a new version and make it the deployed model."""
-        version = self.registry.register(
-            self.name,
-            model,
-            promote=True,
-            n_training_records=n_training_records,
-            validation_mape=validation_mape,
-            reason=reason,
-        )
-        return self.registry.get(self.name, version)
-
-    @property
-    def current(self) -> ModelVersion:
-        """The deployed (most recent) version."""
-        try:
-            return self.registry.latest(self.name)
-        except NotFittedError:
-            raise NotFittedError("the registry is empty; bootstrap a model first") from None
-
-    @property
-    def history(self) -> list[ModelVersion]:
-        """All versions, oldest first."""
-        return self.registry.history(self.name)
-
-    def __len__(self) -> int:
-        return len(self.registry.history(self.name))
+__all__ = ["ModelVersion", "RetrainDecision", "ModelLifecycleManager"]
 
 
 @dataclass(frozen=True)
@@ -143,14 +75,10 @@ class ModelLifecycleManager:
         Workload batch size used for validation and feedback.
     seed:
         Seed for the validation split and workload batching.
-    serving_registry / serving_name:
-        Deprecated aliases of ``registry`` / ``model_name`` from the era of
-        two registry classes; passing them emits a ``DeprecationWarning``
-        and redirects to the unified fields.
     """
 
     model_factory: Callable[[], LearnedWMP]
-    registry: UnifiedModelRegistry = field(default_factory=UnifiedModelRegistry)
+    registry: ModelRegistry = field(default_factory=ModelRegistry)
     min_new_records: int = 500
     histogram_drift_threshold: float = 0.25
     error_drift_threshold_mape: float = 30.0
@@ -160,28 +88,8 @@ class ModelLifecycleManager:
     # model_name sits after every pre-unification field so positional callers
     # of the old signature keep meaning what they meant.
     model_name: str = "default"
-    serving_registry: UnifiedModelRegistry | None = None
-    serving_name: str | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.registry, ModelRegistry):
-            # The deprecated single-lineage shim: unwrap to the unified
-            # registry (and its name) it is a view over — its own register()
-            # signature is incompatible with the manager's calls.
-            self.model_name = self.registry.name
-            self.registry = self.registry.registry
-        if self.serving_registry is not None or self.serving_name is not None:
-            warnings.warn(
-                "ModelLifecycleManager(serving_registry=..., serving_name=...) is "
-                "deprecated; pass registry=/model_name= — the unified registry "
-                "holds both the lineage and the served versions",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if self.serving_registry is not None:
-                self.registry = self.serving_registry
-            if self.serving_name is not None:
-                self.model_name = self.serving_name
         if not 0.0 <= self.validation_fraction < 1.0:
             raise InvalidParameterError("validation_fraction must be in [0, 1)")
         if self.min_new_records < 1:

@@ -18,11 +18,6 @@ this module merges them into one subsystem:
   persistence via :mod:`repro.core.serialization`, and per-name lineage
   queries (:meth:`ModelRegistry.history`, :meth:`ModelRegistry.latest`).
 
-The old import paths — ``repro.serving.registry.ModelRegistry`` and
-``repro.integration.lifecycle.ModelRegistry`` — remain importable as thin
-deprecation shims; new code should import from :mod:`repro.registry` (or the
-top-level ``repro`` package) only.
-
 For deployments whose model population outgrows one registry process, the
 module also provides the sharded tier: :class:`ConsistentHashRing` (hash-ring
 placement with configurable virtual nodes) and :class:`ShardedModelRegistry`

@@ -5,27 +5,21 @@ call; this package is the online layer that serves those predictions at
 production request rates:
 
 * :mod:`repro.registry` — the unified named/versioned model registry with
-  hot-swap promotion, rollback and retrain lineage (re-exported here;
-  :mod:`repro.serving.registry` remains as a deprecation shim);
+  hot-swap promotion, rollback and retrain lineage (re-exported here);
 * :mod:`~repro.serving.cache` — LRU+TTL prediction caching keyed on workload
   signatures (the per-plan feature-cache tier below it lives with the model,
   in :mod:`repro.core.features`);
-* :mod:`~repro.serving.batcher` — micro-batching of concurrent requests into
-  batched model calls;
 * :mod:`~repro.serving.telemetry` — latency percentiles, throughput, cache
   hit rate and queue depth;
 * :mod:`~repro.serving.kernel` — the sans-I/O :class:`PipelineKernel`: the
-  whole request lifecycle (cache, singleflight, batching, deadlines,
-  hot-swap invalidation) as one pure events-in/actions-out state machine
-  that every front below drives;
-* :mod:`~repro.serving.server` — the thread-backed :class:`PredictionServer`
-  driving the kernel from a condition-variable worker;
-* :mod:`~repro.serving.aio` — the :class:`AsyncPredictionServer` backend:
-  the same pipeline on an asyncio event loop, with a coroutine-native
-  surface plus the synchronous protocol facade;
+  whole request lifecycle (cache, singleflight, micro-batching, deadlines,
+  hot-swap invalidation) as one pure events-in/actions-out state machine;
+* :mod:`~repro.serving.server` — :class:`PredictionServer`, the one driver
+  of the kernel (a condition-variable worker thread), with blocking and
+  coroutine (``predict_async``) surfaces;
 * :mod:`~repro.serving.sharded` — the :class:`ShardedPredictionServer`
-  front fanning requests out over per-shard servers (thread or asyncio) of
-  a :class:`~repro.registry.ShardedModelRegistry`;
+  front fanning requests out over per-shard servers of a
+  :class:`~repro.registry.ShardedModelRegistry`;
 * :mod:`~repro.serving.loadgen` — an open-loop load-test harness replaying
   benchmark traffic at a target QPS;
 * :mod:`~repro.serving.http` — the HTTP/1.1 gateway subsystem: a JSON wire
@@ -36,29 +30,21 @@ See ``docs/SERVING.md`` for the request lifecycle, the shard-routing
 diagram, and the tuning guide.
 """
 
-# ModelRegistry/ModelVersion come from the unified subsystem, NOT from the
-# repro.serving.registry shim: `from repro.serving import ModelRegistry`
-# resolves to the same class as `from repro import ModelRegistry`, so the
-# name is unambiguous everywhere it can be imported from.
 from repro.registry import (
     ConsistentHashRing,
     ModelRegistry,
     ModelVersion,
     ShardedModelRegistry,
 )
-from repro.serving.aio import AsyncPredictionServer
-from repro.serving.batcher import BatcherStats, MicroBatcher
 from repro.serving.cache import CacheStats, LRUTTLCache, workload_signature
 from repro.serving.http import GatewayClient, GatewayConfig, HttpGateway
-from repro.serving.kernel import PipelineKernel
+from repro.serving.kernel import BatcherStats, PipelineKernel
 from repro.serving.loadgen import LoadGenerator, LoadTestReport
 from repro.serving.server import PredictionServer, ServerConfig
-from repro.serving.sharded import BACKENDS, ShardedPredictionServer
+from repro.serving.sharded import ShardedPredictionServer
 from repro.serving.telemetry import ServingTelemetry, TelemetryReport, TenantReport
 
 __all__ = [
-    "AsyncPredictionServer",
-    "BACKENDS",
     "BatcherStats",
     "CacheStats",
     "ConsistentHashRing",
@@ -68,7 +54,6 @@ __all__ = [
     "LRUTTLCache",
     "LoadGenerator",
     "LoadTestReport",
-    "MicroBatcher",
     "ModelRegistry",
     "ModelVersion",
     "PipelineKernel",

@@ -1,46 +1,37 @@
-"""Shared serving-front machinery: the protocol facade and the driver base.
+"""The serving-front facade shared by the single and the sharded server.
 
-Every serving front (thread, asyncio, sharded) exposes the same surface —
-the typed :class:`repro.api.Predictor` protocol, the legacy
-``WorkloadMemoryPredictor`` surface, streaming, telemetry snapshots and the
-context-manager lifecycle.  That facade used to be copied into each front;
-:class:`ServingFrontBase` is the single copy.  A front only implements the
-two submission primitives (``submit`` / ``submit_request``) plus its stats
-accessors, and inherits the rest.
-
-:class:`KernelDriverBase` adds what the two single-backend drivers (thread
-and asyncio) additionally share: registry resolution, construction of the
-:class:`~repro.serving.kernel.PipelineKernel`, the batched model call, and
-the kernel-backed stats accessors.  The sharded front routes to per-shard
-servers instead of owning a kernel, so it extends only the facade.
+Every serving front (:class:`~repro.serving.server.PredictionServer` and
+:class:`~repro.serving.sharded.ShardedPredictionServer`) exposes the same
+surface — the typed :class:`repro.api.Predictor` protocol, the legacy
+``WorkloadMemoryPredictor`` surface, a coroutine surface for callers on
+their own event loop, streaming, telemetry snapshots and the
+context-manager lifecycle.  :class:`ServingFrontBase` is the single copy of
+that facade: a front only implements the two submission primitives
+(``submit`` / ``submit_request``) plus its stats accessors, and inherits the
+rest.
 """
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.api import PredictionRequest, PredictionResult, predict_values
-from repro.core.features import FeatureCacheStats
-from repro.core.features import feature_cache_stats as _model_feature_cache_stats
+from repro.api import PredictionRequest, PredictionResult
 from repro.core.workload import Workload
 from repro.dbms.query_log import QueryRecord
 from repro.exceptions import DeadlineExceededError
-from repro.registry import ModelRegistry
-from repro.serving.batcher import BatcherStats
-from repro.serving.cache import CacheStats
-from repro.serving.kernel import PipelineKernel, ServerConfig
+from repro.serving.kernel import ServerConfig
 from repro.serving.telemetry import ServingTelemetry, TelemetryReport
 
 __all__ = [
     "DEFAULT_MODEL_NAME",
     "ServingFrontBase",
-    "KernelDriverBase",
     "submission_deadline",
     "await_within_budget",
 ]
@@ -54,8 +45,8 @@ def submission_deadline(request: PredictionRequest) -> float | None:
 
     Captured once per request at submission so batch loops consume the
     remaining budget from there — request *i* never borrows the time spent
-    waiting on requests before it.  Shared by every serving front (thread,
-    asyncio, sharded).
+    waiting on requests before it.  Shared by every serving front and by
+    both the blocking and the coroutine surface.
     """
     if request.deadline_s is None:
         return None
@@ -177,6 +168,77 @@ class ServingFrontBase:
         for future in window:
             yield future.result()
 
+    # -- coroutine surface ------------------------------------------------------------
+
+    @staticmethod
+    def _consume_abandoned(future: "asyncio.Future") -> None:
+        """Mark an abandoned future's exception retrieved (no-op on success).
+
+        An expired wait abandons its future rather than cancelling it (the
+        pipeline must finish and account for the request on its own); the
+        eventual ``DeadlineExceededError`` would otherwise be reported as a
+        "Future exception was never retrieved" warning.
+        """
+        if not future.cancelled():
+            future.exception()
+
+    async def predict_async(self, request: PredictionRequest) -> PredictionResult:
+        """Answer one typed request; awaitable from any event loop.
+
+        The request is submitted to the server's own worker and awaited via
+        :func:`asyncio.wrap_future`, so callers on any loop (or several
+        tasks on the same one) compose freely.  A request ``deadline_s`` is
+        enforced end-to-end (shed from the batch queue once expired) and
+        bounds this wait, raising
+        :class:`~repro.exceptions.DeadlineExceededError` on expiry.
+
+        With ``enable_batching=False`` there is no worker: the model call
+        runs inline on the submitting thread, which here is the caller's
+        event-loop thread, so the loop is blocked for that call.
+        """
+        results = await self.predict_batch_async([request])
+        return results[0]
+
+    async def predict_batch_async(
+        self, requests: Sequence[PredictionRequest]
+    ) -> list[PredictionResult]:
+        """Typed batch form; all requests are submitted before any is awaited.
+
+        Each request's deadline clock starts at its submission, not when its
+        turn comes in the await loop below.  An expired wait abandons the
+        request instead of cancelling it: the pipeline keeps the request,
+        so the shed/miss is still executed-or-shed and counted exactly as
+        on the blocking surface.
+        """
+        entries = [
+            (
+                request,
+                submission_deadline(request),
+                asyncio.wrap_future(self.submit_request(request)),
+            )
+            for request in requests
+        ]
+        for _, _, future in entries:
+            future.add_done_callback(self._consume_abandoned)
+        results: list[PredictionResult] = []
+        for request, deadline_at, future in entries:
+            if deadline_at is None:
+                results.append(await future)
+                continue
+            try:
+                results.append(
+                    await asyncio.wait_for(
+                        asyncio.shield(future),
+                        timeout=max(deadline_at - time.monotonic(), 0.0),
+                    )
+                )
+            except (TimeoutError, asyncio.TimeoutError) as exc:
+                raise DeadlineExceededError(
+                    f"request {request.request_id} missed its deadline "
+                    f"({request.deadline_s:.3f} s)"
+                ) from exc
+        return results
+
     # -- telemetry --------------------------------------------------------------------
 
     def snapshot(self) -> TelemetryReport:
@@ -208,76 +270,3 @@ class ServingFrontBase:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-
-class KernelDriverBase(ServingFrontBase):
-    """Common construction + kernel-backed accessors of the I/O drivers.
-
-    Owns everything the thread and asyncio drivers share that is not I/O:
-    registry resolution (a bare predictor is wrapped in a fresh single-entry
-    registry), the :class:`~repro.serving.kernel.PipelineKernel`, the
-    batched model call, and the stats surface.  The driver subclass owns the
-    clocks/locks/loops that feed the kernel events and perform its actions.
-    """
-
-    def __init__(
-        self,
-        source: ModelRegistry | Any,
-        *,
-        model_name: str = DEFAULT_MODEL_NAME,
-        config: ServerConfig | None = None,
-        telemetry: ServingTelemetry | None = None,
-    ) -> None:
-        self.config = config or ServerConfig()
-        if isinstance(source, ModelRegistry):
-            self.registry = source
-        else:
-            self.registry = ModelRegistry()
-            self.registry.register(model_name, source)
-        self.model_name = model_name
-        self.registry.get(model_name)  # fail fast on unknown names
-        self.telemetry = telemetry if telemetry is not None else ServingTelemetry()
-        self._kernel = PipelineKernel(self.config)
-        self._served_version: int | None = None
-        self._feature_cache_active = False
-        self._closed = False
-
-    def _predict_batch(self, workloads: list[Workload]) -> Sequence[float]:
-        # Prefer the vectorized workload-batch convention, fall back to the
-        # predict_workload protocol when the model's predict doesn't follow
-        # it — the shared logic lives in repro.api.predict_values.  The
-        # model is resolved from the registry *per batch*, so a promotion
-        # takes effect on the next batch without restarting the server.
-        model = self.registry.active(self.model_name)
-        return predict_values(model, workloads)
-
-    def _feature_cache_flag(self) -> bool:
-        # Cached per swap so the typed request path does not pay a registry
-        # resolution + stats snapshot per request just to stamp a boolean
-        # on each PredictionResult.
-        return _model_feature_cache_stats(self.registry.active(self.model_name)) is not None
-
-    # -- stats ------------------------------------------------------------------------
-
-    def cache_stats(self) -> CacheStats | None:
-        """Prediction-cache counters, or ``None`` when caching is disabled."""
-        return self._kernel.cache_stats()
-
-    def feature_cache_stats(self) -> FeatureCacheStats | None:
-        """The active model's plan-feature cache counters, if it has any.
-
-        The cache lives on the model (not the server), so the counters are
-        shared with every other consumer of the same model instance —
-        admission control, the scheduler, direct calls.
-        """
-        return _model_feature_cache_stats(self.registry.active(self.model_name))
-
-    def batcher_stats(self) -> BatcherStats | None:
-        """Micro-batcher counters, or ``None`` when batching is disabled."""
-        if not self.config.enable_batching:
-            return None
-        return self._kernel.batcher_stats()
-
-    @property
-    def coalesced_requests(self) -> int:
-        """Requests answered by attaching to an identical in-flight request."""
-        return self._kernel.coalesced_requests

@@ -15,21 +15,20 @@ transport only — no prediction logic lives here.  A connection is handled as:
 3. **answer** — JSON body, ``X-Request-Id`` echo, keep-alive per HTTP/1.1
    defaults (``Connection: close`` honoured, HTTP/1.0 closes).
 
-The gateway fronts *any* server satisfying the serving surface — the
-thread-backed :class:`~repro.serving.server.PredictionServer`, the asyncio
-:class:`~repro.serving.aio.AsyncPredictionServer`, or a
+The gateway fronts *any* server satisfying the serving surface — a
+:class:`~repro.serving.server.PredictionServer` or a
 :class:`~repro.serving.sharded.ShardedPredictionServer` — because it only
 uses ``submit_request`` (thread-safe, future-returning), ``snapshot`` and
-the attached registry.  Like the asyncio backend, the gateway owns a private
-event loop on a daemon thread, so ``start()``/``close()`` compose with any
-caller, and one process can host several gateways.
+the attached registry.  The gateway owns a private event loop on a daemon
+thread, so ``start()``/``close()`` compose with any caller, and one process
+can host several gateways.
 
 Example::
 
-    from repro.serving import AsyncPredictionServer
+    from repro.serving import PredictionServer
     from repro.serving.http import GatewayConfig, HttpGateway
 
-    with AsyncPredictionServer(model) as server:
+    with PredictionServer(model) as server:
         with HttpGateway(server, config=GatewayConfig(port=0)) as gateway:
             print(gateway.url)          # http://127.0.0.1:<bound port>
             ...                         # serve until closed
@@ -135,7 +134,7 @@ class HttpGateway:
     server:
         Any serving backend exposing ``submit_request`` / ``snapshot`` and
         carrying ``registry`` / ``model_name`` / ``telemetry`` attributes
-        (all three stock backends do).
+        (both stock servers do).
     config:
         :class:`GatewayConfig`; defaults bind ``127.0.0.1:8080``.
     authenticator:
@@ -336,6 +335,11 @@ class HttpGateway:
             await self._write_simple_error(writer, 431, "request head too large")
         except asyncio.TimeoutError:
             pass  # idle keep-alive connection: close quietly
+        except asyncio.CancelledError:
+            # close() cancels connections parked in readline.  Returning
+            # normally ends the task uncancelled: a cancelled handler task
+            # makes the stream protocol's done-callback log a traceback.
+            pass
         finally:
             writer.close()
             try:

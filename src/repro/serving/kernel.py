@@ -36,16 +36,15 @@ Actions (what the kernel tells the world to do)
 The kernel is deterministic: the same event sequence always yields the same
 action sequence, which is what lets ``tests/test_kernel_differential.py``
 drive it against the naive-loop oracle with hypothesis and assert
-bit-identical answers and accounting.  I/O drivers
-(:class:`~repro.serving.server.PredictionServer`,
-:class:`~repro.serving.aio.AsyncPredictionServer`) own the real clocks,
-locks, loops and futures, and stay thin: feed events, perform actions.
+bit-identical answers and accounting.  The I/O
+driver (:class:`~repro.serving.server.PredictionServer`) owns the real
+clocks, locks and futures, and stays thin: feed events, perform actions.
 
 Batching discipline
 -------------------
-At most ``max_concurrent_batches`` (default 1, matching both backends'
+At most ``max_concurrent_batches`` (default 1, matching the server's
 single model worker) flushed batches may be outstanding.  A due flush while
-the slot is busy stays pending — which is exactly how the thread backend's
+the slot is busy stays pending — which is exactly how the server's
 worker-availability batching forms large batches under load — and is cut
 (EDF order, up to ``max_batch_size``) when :meth:`PipelineKernel.batch_done`
 frees the slot.  Expired pending requests are shed on *every* event before
@@ -62,10 +61,10 @@ from typing import Any, Callable, Hashable, Iterable, Sequence, Union
 
 from repro.core.workload import Workload
 from repro.exceptions import DeadlineExceededError, InvalidParameterError, ServingError
-from repro.serving.batcher import BatcherStats
 from repro.serving.cache import CacheStats, LRUTTLCache, workload_signature
 
 __all__ = [
+    "BatcherStats",
     "ServerConfig",
     "PipelineKernel",
     "STRIDE_SCALE",
@@ -98,6 +97,26 @@ __all__ = [
 #: to the weight ratio.  Pure integer arithmetic keeps the schedule bit-exact
 #: between the kernel and the naive oracle.
 STRIDE_SCALE = 1 << 16
+
+
+@dataclass(frozen=True)
+class BatcherStats:
+    """Counters describing the batches the kernel's micro-batcher has formed."""
+
+    requests: int
+    batches: int
+    size_flushes: int
+    deadline_flushes: int
+    close_flushes: int
+    max_batch_size_seen: int
+    shed_requests: int = 0
+
+    @property
+    def mean_batch_size(self) -> float:
+        """Average *executed* requests per formed batch (0.0 before the first)."""
+        if not self.batches:
+            return 0.0
+        return (self.requests - self.shed_requests) / self.batches
 
 
 def _normalize_quota(value: Any, name: str) -> tuple[tuple[str, int], ...] | None:
@@ -612,7 +631,7 @@ class PipelineKernel:
         self._version: Any = None
         self._closing = False
         self._coalesced = 0
-        # BatcherStats-compatible counters.
+        # BatcherStats counters.
         self._requests = 0
         self._batches = 0
         self._size_flushes = 0
@@ -897,7 +916,7 @@ class PipelineKernel:
         return {tenant: n for tenant, n in self._tenant_inflight.items() if n > 0}
 
     def batcher_stats(self) -> BatcherStats:
-        """Micro-batching counters (same shape as the standalone batcher's)."""
+        """Micro-batching counters."""
         return BatcherStats(
             requests=self._requests,
             batches=self._batches,

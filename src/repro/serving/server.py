@@ -23,7 +23,10 @@ protocol (``submit_request`` / ``predict_batch`` answer typed
 :class:`~repro.api.PredictionRequest` objects) and keeps the legacy
 ``predict_workload`` / ``predict(workloads)`` surfaces via the shared
 :class:`~repro.serving.front.ServingFrontBase` facade, so both old and new
-consumers can be pointed at a served model unchanged.
+consumers can be pointed at a served model unchanged.  The same facade adds
+``predict_async`` / ``predict_batch_async`` for callers on their own event
+loop: the worker thread stays the one driver, and the coroutines await its
+futures through :func:`asyncio.wrap_future`.
 """
 
 from __future__ import annotations
@@ -35,30 +38,32 @@ import time
 from concurrent.futures import Future
 from typing import Any, Sequence
 
-from repro.api import CachePolicy, PredictionRequest, PredictionResult
+from repro.api import CachePolicy, PredictionRequest, PredictionResult, predict_values
+from repro.core.features import FeatureCacheStats
+from repro.core.features import feature_cache_stats as _model_feature_cache_stats
 from repro.core.workload import Workload
 from repro.dbms.query_log import QueryRecord
 from repro.exceptions import ServingError
-from repro.serving.front import (
-    DEFAULT_MODEL_NAME,
-    KernelDriverBase,
-    await_within_budget,
-    submission_deadline,
-)
+from repro.registry import ModelRegistry
+from repro.serving.cache import CacheStats
+from repro.serving.front import DEFAULT_MODEL_NAME, ServingFrontBase
 from repro.serving.kernel import (
     Action,
+    BatcherStats,
     Complete,
     FlushBatch,
+    PipelineKernel,
     ServerConfig,
     apply_actions,
     flush_priority,
     split_expired,
 )
+from repro.serving.telemetry import ServingTelemetry
 
 __all__ = ["ServerConfig", "PredictionServer"]
 
 
-class PredictionServer(KernelDriverBase):
+class PredictionServer(ServingFrontBase):
     """Online workload-memory prediction service over a model registry.
 
     Parameters
@@ -80,13 +85,25 @@ class PredictionServer(KernelDriverBase):
 
     def __init__(
         self,
-        source: Any,
+        source: ModelRegistry | Any,
         *,
         model_name: str = DEFAULT_MODEL_NAME,
         config: ServerConfig | None = None,
-        telemetry: Any = None,
+        telemetry: ServingTelemetry | None = None,
     ) -> None:
-        super().__init__(source, model_name=model_name, config=config, telemetry=telemetry)
+        self.config = config or ServerConfig()
+        if isinstance(source, ModelRegistry):
+            self.registry = source
+        else:
+            self.registry = ModelRegistry()
+            self.registry.register(model_name, source)
+        self.model_name = model_name
+        self.registry.get(model_name)  # fail fast on unknown names
+        self.telemetry = telemetry if telemetry is not None else ServingTelemetry()
+        self._kernel = PipelineKernel(self.config)
+        self._served_version: int | None = None
+        self._feature_cache_active = False
+        self._closed = False
         self._work = threading.Condition()
         self._waiters: dict[int, "Future[tuple[float, bool]]"] = {}
         # rid → tenant label for requests that carry one; consulted by
@@ -309,6 +326,21 @@ class PredictionServer(KernelDriverBase):
         inner.add_done_callback(_wrap)
         return outer
 
+    def _predict_batch(self, workloads: list[Workload]) -> Sequence[float]:
+        # Prefer the vectorized workload-batch convention, fall back to the
+        # predict_workload protocol when the model's predict doesn't follow
+        # it — the shared logic lives in repro.api.predict_values.  The
+        # model is resolved from the registry *per batch*, so a promotion
+        # takes effect on the next batch without restarting the server.
+        model = self.registry.active(self.model_name)
+        return predict_values(model, workloads)
+
+    def _feature_cache_flag(self) -> bool:
+        # Cached per swap so the typed request path does not pay a registry
+        # resolution + stats snapshot per request just to stamp a boolean
+        # on each PredictionResult.
+        return _model_feature_cache_stats(self.registry.active(self.model_name)) is not None
+
     # -- worker -------------------------------------------------------------------------
 
     def _run(self) -> None:
@@ -373,3 +405,29 @@ class PredictionServer(KernelDriverBase):
         if self._worker is not None:
             self._worker.join()
             self._worker = None
+
+    # -- stats --------------------------------------------------------------------------
+
+    def cache_stats(self) -> CacheStats | None:
+        """Prediction-cache counters, or ``None`` when caching is disabled."""
+        return self._kernel.cache_stats()
+
+    def feature_cache_stats(self) -> FeatureCacheStats | None:
+        """The active model's plan-feature cache counters, if it has any.
+
+        The cache lives on the model (not the server), so the counters are
+        shared with every other consumer of the same model instance —
+        admission control, the scheduler, direct calls.
+        """
+        return _model_feature_cache_stats(self.registry.active(self.model_name))
+
+    def batcher_stats(self) -> BatcherStats | None:
+        """Micro-batcher counters, or ``None`` when batching is disabled."""
+        if not self.config.enable_batching:
+            return None
+        return self._kernel.batcher_stats()
+
+    @property
+    def coalesced_requests(self) -> int:
+        """Requests answered by attaching to an identical in-flight request."""
+        return self._kernel.coalesced_requests

@@ -3,9 +3,9 @@
 One :class:`~repro.serving.server.PredictionServer` scales until a single
 cache + micro-batcher saturates; past that point the serving tier has to
 grow *horizontally*.  :class:`ShardedPredictionServer` is that tier: it
-fronts a :class:`~repro.registry.ShardedModelRegistry` with one backend
-server per shard — thread-based or asyncio, chosen per front — and routes
-every request on the registry's consistent-hash discipline:
+fronts a :class:`~repro.registry.ShardedModelRegistry` with one
+:class:`~repro.serving.server.PredictionServer` per shard and routes every
+request on the registry's consistent-hash discipline:
 
 * a **shard-routed** model name lives on exactly one shard; its requests all
   go to that shard's server (the front is a transparent proxy);
@@ -30,7 +30,8 @@ The front satisfies the :class:`repro.api.Predictor` protocol and the
 legacy surfaces via the shared :class:`~repro.serving.front.ServingFrontBase`
 facade, so everything that drives a single server — the CLI, the
 :class:`~repro.serving.loadgen.LoadGenerator`, admission control, the
-benchmarks — drives a sharded fleet unchanged.
+benchmarks, coroutine callers of ``predict_async`` — drives a sharded fleet
+unchanged.
 """
 
 from __future__ import annotations
@@ -45,21 +46,13 @@ from repro.core.workload import Workload
 from repro.dbms.query_log import QueryRecord
 from repro.exceptions import InvalidParameterError, ServingError
 from repro.registry import ConsistentHashRing, ShardedModelRegistry
-from repro.serving.aio import AsyncPredictionServer
-from repro.serving.batcher import BatcherStats
 from repro.serving.cache import CacheStats, workload_signature
 from repro.serving.front import ServingFrontBase
+from repro.serving.kernel import BatcherStats
 from repro.serving.server import PredictionServer, ServerConfig
 from repro.serving.telemetry import ServingTelemetry
 
-__all__ = ["ShardedPredictionServer", "BACKENDS"]
-
-#: Server classes selectable with the ``backend`` argument (and the CLI's
-#: ``--backend`` flag).
-BACKENDS = {
-    "thread": PredictionServer,
-    "asyncio": AsyncPredictionServer,
-}
+__all__ = ["ShardedPredictionServer"]
 
 
 def _merge_cache_stats(parts: list[CacheStats]) -> CacheStats | None:
@@ -100,10 +93,6 @@ class ShardedPredictionServer(ServingFrontBase):
         owning shard does.
     model_name:
         Registry name to serve.
-    backend:
-        ``"thread"`` (:class:`~repro.serving.server.PredictionServer`) or
-        ``"asyncio"`` (:class:`~repro.serving.aio.AsyncPredictionServer`)
-        for the per-shard servers.
     config:
         Shared :class:`~repro.serving.kernel.ServerConfig` for every shard
         server.
@@ -112,7 +101,7 @@ class ShardedPredictionServer(ServingFrontBase):
 
         registry = ShardedModelRegistry(n_shards=2)
         registry.register_replicated("default", model)
-        with ShardedPredictionServer(registry, backend="asyncio") as server:
+        with ShardedPredictionServer(registry) as server:
             print(server.predict_workload(workload))
     """
 
@@ -121,18 +110,12 @@ class ShardedPredictionServer(ServingFrontBase):
         registry: ShardedModelRegistry,
         *,
         model_name: str = "default",
-        backend: str = "thread",
         config: ServerConfig | None = None,
     ) -> None:
-        server_cls = BACKENDS.get(backend)
-        if server_cls is None:
-            raise InvalidParameterError(
-                f"unknown serving backend {backend!r}; choose from {sorted(BACKENDS)}"
-            )
         if not isinstance(registry, ShardedModelRegistry):
             raise InvalidParameterError(
                 "ShardedPredictionServer requires a ShardedModelRegistry; "
-                "wrap a single ModelRegistry in PredictionServer/AsyncPredictionServer instead"
+                "wrap a single ModelRegistry in PredictionServer instead"
             )
         if model_name not in registry:
             raise ServingError(
@@ -140,7 +123,6 @@ class ShardedPredictionServer(ServingFrontBase):
             )
         self.registry = registry
         self.model_name = model_name
-        self.backend = backend
         self.config = config or ServerConfig()
         self.telemetry = ServingTelemetry()
         if registry.is_replicated(model_name):
@@ -148,7 +130,7 @@ class ShardedPredictionServer(ServingFrontBase):
         else:
             shard_ids = [registry.route(model_name)]
         self._servers = {
-            shard_id: server_cls(
+            shard_id: PredictionServer(
                 registry.shard(shard_id),
                 model_name=model_name,
                 config=self.config,
@@ -173,7 +155,7 @@ class ShardedPredictionServer(ServingFrontBase):
     def _dispatch(self, workload: Workload):
         """Route one workload; returns ``(shard server, signature)``.
 
-        The signature is computed once here and handed down to the backend
+        The signature is computed once here and handed down to the shard
         server, which uses it as its prediction-cache key — the hot path
         hashes each workload exactly once, sharded or not.
         """
@@ -183,8 +165,8 @@ class ShardedPredictionServer(ServingFrontBase):
         return self._servers[self._request_ring.route(str(signature))], signature
 
     @property
-    def shard_servers(self) -> dict[str, PredictionServer | AsyncPredictionServer]:
-        """The per-shard backend servers, keyed by shard id (introspection)."""
+    def shard_servers(self) -> dict[str, PredictionServer]:
+        """The per-shard servers, keyed by shard id (introspection)."""
         return dict(self._servers)
 
     # -- submission primitives (the facade builds everything else on these) ---------
@@ -224,7 +206,7 @@ class ShardedPredictionServer(ServingFrontBase):
         return _model_feature_cache_stats(self.registry.active(self.model_name))
 
     def close(self) -> None:
-        """Close every shard server (drain batches, stop workers/loops)."""
+        """Close every shard server (drain batches, stop workers)."""
         if self._closed:
             return
         self._closed = True

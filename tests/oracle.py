@@ -34,9 +34,9 @@ import numpy as np
 from repro.core.workload import Workload
 from repro.dbms.query_log import QueryRecord
 from repro.exceptions import DeadlineExceededError, ServingError
-from repro.serving.batcher import BatcherStats
 from repro.serving.cache import CacheStats, workload_signature
 from repro.serving.kernel import (
+    BatcherStats,
     BatchDone,
     BatchEntry,
     BatchFailed,

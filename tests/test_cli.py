@@ -140,8 +140,7 @@ class TestServeAndLoadtest:
         assert payload["n_errors"] == 0
         assert "cache_hit_rate" in payload and "naive_qps" in payload
 
-    @pytest.mark.parametrize("backend", ["thread", "asyncio"])
-    def test_loadtest_backends_with_sharded_registry(self, backend, tmp_path, capsys):
+    def test_loadtest_with_sharded_registry(self, tmp_path, capsys):
         output = tmp_path / "bench.json"
         exit_code = main(
             [
@@ -156,8 +155,6 @@ class TestServeAndLoadtest:
                 "400",
                 "--seed",
                 "3",
-                "--backend",
-                backend,
                 "--shards",
                 "2",
                 "--output",
@@ -166,38 +163,15 @@ class TestServeAndLoadtest:
         )
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert f"backend={backend}, shards=2" in out
+        assert "shards=2" in out
         # The existing parity check ran against the sharded front: served
         # decisions must match the direct model exactly.
         assert "parity" in out
         payload = json.loads(output.read_text())
-        assert payload["backend"] == backend
+        assert "backend" not in payload
         assert payload["shards"] == 2
         assert payload["n_errors"] == 0
         assert payload["parity_max_delta_mb"] == pytest.approx(0.0, abs=1e-9)
-
-    def test_serve_asyncio_backend(self, capsys):
-        exit_code = main(
-            [
-                "serve",
-                "--benchmark",
-                "tpcc",
-                "--queries",
-                "200",
-                "--requests",
-                "30",
-                "--qps",
-                "500",
-                "--seed",
-                "3",
-                "--backend",
-                "asyncio",
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "backend=asyncio" in out
-        assert "throughput" in out
 
     def test_loadtest_with_deadline_reports_misses(self, tmp_path, capsys):
         output = tmp_path / "bench_deadline.json"

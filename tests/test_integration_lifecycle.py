@@ -171,26 +171,3 @@ class TestServingUnification:
         assert registry.active("default") is retrained.model
         # The previous version is still there for rollback.
         assert registry.rollback("default") == 1
-
-    def test_deprecated_lifecycle_shim_as_registry_is_unwrapped(self, tpcc_small):
-        from repro.integration.lifecycle import ModelRegistry as LifecycleShim
-
-        LifecycleShim._deprecation_warned = False
-        with pytest.warns(DeprecationWarning):
-            shim = LifecycleShim(name="tpcc")
-        manager = _manager(min_new_records=100, registry=shim)
-        assert isinstance(manager.registry, ModelRegistry)
-        assert manager.model_name == "tpcc"
-        manager.bootstrap(tpcc_small.train_records[:300])
-        assert shim.current.version == 1  # the shim view sees the same lineage
-
-    def test_deprecated_serving_registry_params_redirect(self, tpcc_small):
-        registry = ModelRegistry()
-        with pytest.warns(DeprecationWarning, match="serving_registry"):
-            manager = _manager(
-                min_new_records=100, serving_registry=registry, serving_name="tpcc"
-            )
-        assert manager.registry is registry
-        assert manager.model_name == "tpcc"
-        manager.bootstrap(tpcc_small.train_records[:300])
-        assert registry.active_version("tpcc") == 1

@@ -1,5 +1,5 @@
 """Differential testing: PipelineKernel vs the naive-loop oracle, and the
-same random traces replayed through the three real serving fronts.
+same random traces replayed through the two real serving fronts.
 
 Two layers of evidence that the serving pipeline does what its spec says:
 
@@ -12,7 +12,7 @@ Two layers of evidence that the serving pipeline does what its spec says:
   queue depths, wake-ups) as a cross-checked invariant.  The two
   implementations share only the event/action dataclasses.
 * ``test_trace_replay_*`` — random request traces replayed through the
-  thread, asyncio and sharded fronts (real clocks, real locks), asserting
+  single-server and sharded fronts (real clocks, real locks), asserting
   every delivered value matches the naive one-call-at-a-time loop and the
   deadline/telemetry accounting invariants hold.
 
@@ -40,12 +40,7 @@ from oracle import (
 from repro.api import CachePolicy, PredictionRequest
 from repro.exceptions import DeadlineExceededError
 from repro.registry import ShardedModelRegistry
-from repro.serving import (
-    AsyncPredictionServer,
-    PredictionServer,
-    ServerConfig,
-    ShardedPredictionServer,
-)
+from repro.serving import PredictionServer, ServerConfig, ShardedPredictionServer
 from repro.serving.kernel import Complete, Fail, FlushBatch, PipelineKernel, Shed
 
 POOL = make_lookup_pool(5)
@@ -444,11 +439,9 @@ class TestSchedulingFairnessProperties:
 def _make_front(kind, model, config):
     if kind == "thread":
         return PredictionServer(model, config=config)
-    if kind == "asyncio":
-        return AsyncPredictionServer(model, config=config)
     registry = ShardedModelRegistry(n_shards=2)
     registry.register_replicated("default", model)
-    return ShardedPredictionServer(registry, backend="thread", config=config)
+    return ShardedPredictionServer(registry, config=config)
 
 
 trace_entries = st.tuples(
@@ -459,9 +452,9 @@ trace_entries = st.tuples(
 
 
 class TestTraceReplayOnRealFronts:
-    """Random traces through thread/asyncio/sharded: oracle answers, sane
-    deadline accounting.  Capped below the profile budget: every example
-    spins up three real servers."""
+    """Random traces through the single and the sharded server: oracle
+    answers, sane deadline accounting.  Capped below the profile budget:
+    every example spins up two real fronts."""
 
     @settings(max_examples=8)
     @given(
@@ -473,7 +466,7 @@ class TestTraceReplayOnRealFronts:
         expected = LookupPredictor()
         config = ServerConfig(max_batch_size=max_batch, max_wait_s=0.001)
         n_expired = sum(1 for _, kind, _ in trace if kind == "expired")
-        for front in ("thread", "asyncio", "sharded"):
+        for front in ("thread", "sharded"):
             with _make_front(front, LookupPredictor(), config) as server:
                 futures = [
                     (

@@ -1,6 +1,6 @@
 """Pinned regressions: front divergences surfaced by the differential harness.
 
-Before the three serving fronts were rewritten over the shared
+Before the serving fronts were rewritten over the shared
 :class:`~repro.serving.kernel.PipelineKernel`, each carried its own copy of
 the pipeline rules, and replaying identical traces through them (see
 ``test_kernel_differential.py``) exposed behavioral drift.  Each test here
@@ -9,10 +9,10 @@ pins one unified behavior across every front, minimally, so a future front
 
 * coalescing must work with batching disabled (the old thread front only
   coalesced inside the micro-batcher);
-* an expired BYPASS request must always shed, on every front (the asyncio
-  front once failed this path with a ``NameError`` instead of the typed
-  ``DeadlineExceededError``);
-* admission sheds are telemetry sheds but never batcher sheds — the three
+* an expired BYPASS request must always shed, on every front (a since
+  deleted event-loop front once failed this path with a ``NameError``
+  instead of the typed ``DeadlineExceededError``);
+* admission sheds are telemetry sheds but never batcher sheds — the
   fronts used to disagree on which counter they landed in;
 * a hot swap mid-batch must gate the stale write-back on every front, not
   just invalidate the cache at swap time;
@@ -32,26 +32,19 @@ from oracle import make_lookup_pool
 from repro.api import CachePolicy, PredictionRequest
 from repro.exceptions import DeadlineExceededError
 from repro.registry import ModelRegistry, ShardedModelRegistry
-from repro.serving import (
-    AsyncPredictionServer,
-    PredictionServer,
-    ServerConfig,
-    ShardedPredictionServer,
-)
+from repro.serving import PredictionServer, ServerConfig, ShardedPredictionServer
 from repro.serving.kernel import FlushBatch, PipelineKernel
 
 POOL = make_lookup_pool(4)
-FRONTS = ["thread", "asyncio", "sharded"]
+FRONTS = ["thread", "sharded"]
 
 
 def make_front(kind, model, config):
     if kind == "thread":
         return PredictionServer(model, config=config)
-    if kind == "asyncio":
-        return AsyncPredictionServer(model, config=config)
     registry = ShardedModelRegistry(n_shards=2)
     registry.register_replicated("default", model)
-    return ShardedPredictionServer(registry, backend="thread", config=config)
+    return ShardedPredictionServer(registry, config=config)
 
 
 def wait_until(predicate, timeout_s=5.0):
@@ -137,7 +130,7 @@ def test_expired_bypass_always_sheds(front):
 
     A BYPASS request must never be rescued by the cache tier, so a spent
     budget has no late-delivery path: every front must shed it with the
-    typed error (the asyncio front once raised ``NameError`` here).
+    typed error (a since deleted front once raised ``NameError`` here).
     """
     from oracle import LookupPredictor
 
@@ -176,22 +169,20 @@ def test_admission_sheds_count_in_telemetry_not_batcher(front):
     assert batcher.batches == 0, front
 
 
-@pytest.mark.parametrize("front", ["thread", "asyncio"])
-def test_hot_swap_mid_batch_gates_stale_write_back(front):
+def test_hot_swap_mid_batch_gates_stale_write_back():
     """A value computed by the pre-swap model is never written back.
 
     Invalidation at swap time is not enough: a batch already executing on
     the old model completes *after* the invalidation, and without generation
     gating its stale answer would repopulate the fresh cache.  (The sharded
-    front delegates to these two drivers per shard.)
+    front delegates to one such server per shard.)
     """
     stale = GatePredictor(value=1.0)
     registry = ModelRegistry()
     registry.register("default", stale)
     config = ServerConfig(max_wait_s=0.0)
-    cls = PredictionServer if front == "thread" else AsyncPredictionServer
     workload, other = POOL[0], POOL[3]
-    with cls(registry, config=config) as server:
+    with PredictionServer(registry, config=config) as server:
         first = server.submit(workload)
         assert stale.entered.wait(5.0)  # batch is executing on the old model
 
@@ -199,16 +190,16 @@ def test_hot_swap_mid_batch_gates_stale_write_back(front):
         # The driver observes the promotion at the next admission; queue an
         # unrelated request behind the busy slot to force the sync now.
         second = server.submit(other)
-        assert wait_until(lambda: server._served_version == 2), front
+        assert wait_until(lambda: server._served_version == 2)
 
         stale.release.set()
         # The in-flight request still delivers its (stale) answer...
-        assert first.result(timeout=5.0) == 1.0, front
-        assert second.result(timeout=5.0) == 2.0, front
+        assert first.result(timeout=5.0) == 1.0
+        assert second.result(timeout=5.0) == 2.0
         # ...but the write-back was generation-gated: re-asking must execute
         # on the fresh model, not replay 1.0 from the cache.
-        assert server.submit(workload).result(timeout=5.0) == 2.0, front
-        assert server.cache_stats().hits == 0, front
+        assert server.submit(workload).result(timeout=5.0) == 2.0
+        assert server.cache_stats().hits == 0
 
 
 @pytest.mark.parametrize("front", FRONTS)

@@ -213,11 +213,10 @@ class TestDeadlineProperties:
     """Deadline enforcement must never change a delivered answer: under any
     random mix of deadline-free, generous and already-expired requests, every
     value that comes back equals the direct-model answer, and every
-    ``DeadlineExceededError`` corresponds to a genuinely expired budget —
-    on both the thread and the asyncio backend."""
+    ``DeadlineExceededError`` corresponds to a genuinely expired budget."""
 
     # Capped below the profile budget even under ``ci``: every example spins
-    # up a real server (thread or event loop); the kernel-level differential
+    # up a real server; the kernel-level differential
     # suite is where the full example budget is spent.
     @settings(max_examples=12)
     @given(
@@ -229,25 +228,21 @@ class TestDeadlineProperties:
             min_size=1,
             max_size=16,
         ),
-        st.sampled_from(["thread", "asyncio"]),
         st.integers(min_value=1, max_value=6),
     )
-    def test_deadline_mix_preserves_answers_and_misses_are_genuine(
-        self, mix, backend, max_batch
-    ):
+    def test_deadline_mix_preserves_answers_and_misses_are_genuine(self, mix, max_batch):
         from oracle import LookupPredictor, make_lookup_pool
 
         from repro.api import PredictionRequest
         from repro.exceptions import DeadlineExceededError
-        from repro.serving import AsyncPredictionServer, PredictionServer, ServerConfig
+        from repro.serving import PredictionServer, ServerConfig
 
         pool = make_lookup_pool(6)
         # A generous budget cannot genuinely expire within this test; an
         # "expired" budget of 1 ns cannot survive even the admission path.
         deadlines = {"none": None, "generous": 30.0, "expired": 1e-9}
         config = ServerConfig(max_batch_size=max_batch, max_wait_s=0.001)
-        server_cls = PredictionServer if backend == "thread" else AsyncPredictionServer
-        with server_cls(LookupPredictor(), config=config) as server:
+        with PredictionServer(LookupPredictor(), config=config) as server:
             entries = [
                 (
                     idx,

@@ -2,19 +2,15 @@
 
 Exercises what the merge of the two old registries has to guarantee:
 promotion/rollback interleaved with retrain lineage on the same storage,
-explicit-version registration with duplicate rejection, and the deprecated
-import paths (``repro.serving.registry.ModelRegistry``,
-``repro.integration.lifecycle.ModelRegistry``) still working while warning
-exactly once.
+explicit-version registration with duplicate rejection, and one class behind
+every public import path.
 """
-
-import warnings
 
 import pytest
 
 from repro.exceptions import NotFittedError, ServingError
 from repro.integration.predictors import ConstantMemoryPredictor
-from repro.registry import ModelRegistry, ModelVersion
+from repro.registry import ModelRegistry
 
 
 def predictor(value: float = 64.0) -> ConstantMemoryPredictor:
@@ -114,48 +110,7 @@ class TestExplicitVersions:
             registry.register("m", predictor(), version=2)
 
 
-class TestDeprecatedImportPaths:
-    def test_serving_shim_works_and_warns_exactly_once(self):
-        from repro.serving.registry import ModelRegistry as ServingShim
-
-        ServingShim._deprecation_warned = False  # make the test order-independent
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = ServingShim()
-            second = ServingShim()
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.registry" in str(deprecations[0].message)
-        # The shim is the unified class: same behavior, isinstance both ways.
-        assert isinstance(first, ModelRegistry)
-        first.register("m", predictor(1.0))
-        first.register("m", predictor(2.0), promote=True)
-        assert first.rollback("m") == 1
-        assert second.history("m") == []
-
-    def test_lifecycle_shim_works_and_warns_exactly_once(self):
-        from repro.integration.lifecycle import ModelRegistry as LifecycleShim
-
-        LifecycleShim._deprecation_warned = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = LifecycleShim()
-            LifecycleShim()
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        # Old single-lineage surface still works on top of the unified registry.
-        with pytest.raises(NotFittedError):
-            _ = shim.current
-        version = shim.register(
-            predictor(1.0), n_training_records=10, validation_mape=None, reason="bootstrap"
-        )
-        assert isinstance(version, ModelVersion)
-        assert shim.current is version
-        assert len(shim) == 1
-        assert [v.version for v in shim.history] == [1]
-        # ... and it is a *view* over a unified registry.
-        assert shim.registry.active("default") is version.model
-
+class TestImportPaths:
     def test_bare_name_resolves_to_the_unified_class_everywhere(self):
         import repro
         import repro.integration

@@ -1,31 +1,35 @@
 """Unit coverage for :mod:`repro.serving.front` — the shared facade layer.
 
-The serving fronts (thread, asyncio, sharded) were always exercised
-end-to-end, which leaves the shared machinery they inherit — the
-:class:`~repro.serving.front.ServingFrontBase` protocol facade, the
-:class:`~repro.serving.front.KernelDriverBase` construction/stats layer,
-and the deadline-budget helpers — covered only incidentally.  These tests
-pin that layer directly, against a minimal synchronous front double, so a
-facade regression is attributed to the facade rather than to whichever
-driver happened to trip over it first.
+The serving fronts (single and sharded) were always exercised end-to-end,
+which leaves the shared machinery they inherit — the
+:class:`~repro.serving.front.ServingFrontBase` protocol facade, its
+coroutine surface, and the deadline-budget helpers — covered only
+incidentally.  These tests pin that layer directly, against a minimal
+synchronous front double, so a facade regression is attributed to the
+facade rather than to whichever front happened to trip over it first.
+They also pin :class:`~repro.serving.server.PredictionServer`
+construction, and run the coroutine surface (``predict_async`` /
+``predict_batch_async`` from a caller-owned event loop) on both real
+fronts.
 """
 
+import asyncio
 import threading
 import time
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from oracle import LookupPredictor, make_lookup_pool
+from oracle import CountingPredictor, LookupPredictor, make_lookup_pool
 
 from repro.api import PredictionRequest, PredictionResult
 from repro.core.features import FeatureCacheStats
 from repro.core.workload import Workload
-from repro.exceptions import DeadlineExceededError, UnknownModelError
-from repro.registry import ModelRegistry
+from repro.exceptions import DeadlineExceededError, ServingError, UnknownModelError
+from repro.registry import ModelRegistry, ShardedModelRegistry
+from repro.serving import PredictionServer, ShardedPredictionServer
 from repro.serving.front import (
     DEFAULT_MODEL_NAME,
-    KernelDriverBase,
     ServingFrontBase,
     await_within_budget,
     submission_deadline,
@@ -188,7 +192,7 @@ class TestServingFrontBase:
         assert front.closed
 
 
-# -- the kernel-driver base ------------------------------------------------------------
+# -- PredictionServer construction ----------------------------------------------------
 
 
 class ConstantModel:
@@ -202,52 +206,219 @@ class ConstantModel:
         return self.value
 
 
-class TestKernelDriverBase:
+class TestPredictionServerConstruction:
     def test_bare_predictor_is_wrapped_in_a_fresh_registry(self):
-        driver = KernelDriverBase(ConstantModel(1.0))
-        assert driver.model_name == DEFAULT_MODEL_NAME
-        assert isinstance(driver.registry, ModelRegistry)
-        assert driver.registry.active(DEFAULT_MODEL_NAME).value == 1.0
+        with PredictionServer(ConstantModel(1.0)) as server:
+            assert server.model_name == DEFAULT_MODEL_NAME
+            assert isinstance(server.registry, ModelRegistry)
+            assert server.registry.active(DEFAULT_MODEL_NAME).value == 1.0
 
     def test_registry_source_is_used_as_is(self):
         registry = ModelRegistry()
         registry.register("wmp", ConstantModel(2.0))
-        driver = KernelDriverBase(registry, model_name="wmp")
-        assert driver.registry is registry
+        with PredictionServer(registry, model_name="wmp") as server:
+            assert server.registry is registry
 
     def test_unknown_model_name_fails_fast_at_construction(self):
         registry = ModelRegistry()
         registry.register("wmp", ConstantModel(2.0))
         with pytest.raises(UnknownModelError):
-            KernelDriverBase(registry, model_name="nope")
+            PredictionServer(registry, model_name="nope")
 
     def test_external_telemetry_instance_is_adopted(self):
         telemetry = ServingTelemetry()
-        assert KernelDriverBase(ConstantModel(1.0), telemetry=telemetry).telemetry is telemetry
-        assert isinstance(KernelDriverBase(ConstantModel(1.0)).telemetry, ServingTelemetry)
+        with PredictionServer(ConstantModel(1.0), telemetry=telemetry) as one:
+            assert one.telemetry is telemetry
+            one.predict(POOL[:3])
+        with PredictionServer(ConstantModel(2.0), telemetry=telemetry) as two:
+            two.predict(POOL[3:6])
+        assert telemetry.snapshot().n_requests == 6
+        with PredictionServer(ConstantModel(1.0)) as own:
+            assert isinstance(own.telemetry, ServingTelemetry)
 
     def test_predict_batch_resolves_the_active_model_per_batch(self):
         """A promotion takes effect on the next batch, no restart needed."""
         registry = ModelRegistry()
         registry.register("default", ConstantModel(1.0))
-        driver = KernelDriverBase(registry)
-        assert driver._predict_batch(POOL[:2]) == [1.0, 1.0]
-        registry.register("default", ConstantModel(9.0), promote=True)
-        assert driver._predict_batch(POOL[:2]) == [9.0, 9.0]
+        with PredictionServer(registry) as server:
+            assert server._predict_batch(POOL[:2]) == [1.0, 1.0]
+            registry.register("default", ConstantModel(9.0), promote=True)
+            assert server._predict_batch(POOL[:2]) == [9.0, 9.0]
 
     def test_stats_follow_the_config(self):
-        on = KernelDriverBase(ConstantModel(1.0))
-        assert on.cache_stats() is not None
-        assert on.batcher_stats() is not None
-        assert on.coalesced_requests == 0
-        off = KernelDriverBase(
-            ConstantModel(1.0),
-            config=ServerConfig(enable_cache=False, enable_batching=False),
-        )
-        assert off.cache_stats() is None
-        assert off.batcher_stats() is None
+        with PredictionServer(ConstantModel(1.0)) as on:
+            assert on.cache_stats() is not None
+            assert on.batcher_stats() is not None
+            assert on.coalesced_requests == 0
+        config = ServerConfig(enable_cache=False, enable_batching=False)
+        with PredictionServer(ConstantModel(1.0), config=config) as off:
+            assert off.cache_stats() is None
+            assert off.batcher_stats() is None
 
     def test_feature_cache_surfaces_follow_the_model(self):
-        plain = KernelDriverBase(ConstantModel(1.0))
-        assert plain.feature_cache_stats() is None
-        assert plain._feature_cache_flag() is False
+        with PredictionServer(ConstantModel(1.0)) as plain:
+            assert plain.feature_cache_stats() is None
+            assert plain._feature_cache_flag() is False
+
+
+# -- the coroutine surface on both real fronts -----------------------------------------
+
+FRONTS = ["single", "sharded"]
+ASYNC_POOL = make_lookup_pool(24)
+
+
+def serve(kind, model, config=None):
+    """``(front, registry)`` serving ``model`` as ``"default"``.
+
+    ``"single"`` is one :class:`PredictionServer`; ``"sharded"`` is a
+    :class:`ShardedPredictionServer` over two replicated shards.
+    """
+    if kind == "single":
+        registry = ModelRegistry()
+        registry.register("default", model)
+        return PredictionServer(registry, config=config), registry
+    registry = ShardedModelRegistry(n_shards=2)
+    registry.register_replicated("default", model)
+    return ShardedPredictionServer(registry, config=config), registry
+
+
+def promote(registry, model) -> None:
+    if isinstance(registry, ShardedModelRegistry):
+        registry.register_replicated("default", model, promote=True)
+    else:
+        registry.register("default", model, promote=True)
+
+
+def same_worker(server, n):
+    """``n`` pool workloads that queue behind one model worker."""
+    if not isinstance(server, ShardedPredictionServer):
+        return ASYNC_POOL[:n]
+    target = server.route_request(ASYNC_POOL[0])
+    picked = [w for w in ASYNC_POOL if server.route_request(w) == target][:n]
+    assert len(picked) == n
+    return picked
+
+
+@pytest.mark.parametrize("kind", FRONTS)
+class TestCoroutineSurface:
+    def test_predict_async_from_a_caller_loop(self, kind):
+        async def drive():
+            server, _ = serve(kind, ConstantModel(42.0))
+            with server:
+                result = await server.predict_async(PredictionRequest.of(ASYNC_POOL[0]))
+                repeat = await server.predict_async(PredictionRequest.of(ASYNC_POOL[0]))
+                return result, repeat
+
+        result, repeat = asyncio.run(drive())
+        assert result.memory_mb == 42.0 and result.cache_hit is False
+        assert repeat.cache_hit is True
+
+    def test_predict_batch_async_submits_before_awaiting(self, kind):
+        predictor = CountingPredictor()
+        config = ServerConfig(max_batch_size=32, max_wait_s=0.05)
+
+        async def drive():
+            server, _ = serve(kind, predictor, config)
+            with server:
+                requests = [PredictionRequest.of(w) for w in ASYNC_POOL[:8]]
+                return await server.predict_batch_async(requests)
+
+        results = asyncio.run(drive())
+        assert [r.memory_mb for r in results] == [predictor.value] * 8
+        # All eight were in flight together, so they formed real batches.
+        assert max(predictor.batch_sizes) > 1
+
+    def test_concurrent_tasks_share_the_server(self, kind):
+        async def drive():
+            server, _ = serve(kind, ConstantModel(7.0))
+            with server:
+                tasks = [
+                    asyncio.create_task(server.predict_async(PredictionRequest.of(w)))
+                    for w in ASYNC_POOL[:10]
+                ]
+                return await asyncio.gather(*tasks)
+
+        results = asyncio.run(drive())
+        assert [r.memory_mb for r in results] == [7.0] * 10
+
+    def test_cancelled_deadline_request_leaves_no_stale_inflight(self, kind):
+        """A deadline-abandoned request must not pin its in-flight entry.
+
+        Otherwise every later identical request attaches to the stale
+        computation and keeps getting the old model's value — surviving
+        even a hot swap (promotion clears the cache, not the in-flight
+        table).
+        """
+        slow = CountingPredictor(value=16.0, delay_s=0.2)
+        config = ServerConfig(max_wait_s=0.0)
+
+        async def drive():
+            server, registry = serve(kind, slow, config)
+            with server:
+                with pytest.raises(ServingError, match="deadline"):
+                    await server.predict_async(
+                        PredictionRequest.of(ASYNC_POOL[0], deadline_s=0.01)
+                    )
+                await asyncio.sleep(0.5)  # let the orphaned batch finish
+                promote(registry, ConstantModel(99.0))
+                result = await server.predict_async(PredictionRequest.of(ASYNC_POOL[0]))
+                return result.memory_mb
+
+        assert asyncio.run(drive()) == 99.0
+
+    def test_async_deadline_miss_raises(self, kind):
+        predictor = CountingPredictor(delay_s=0.3)
+        config = ServerConfig(enable_cache=False, max_wait_s=0.0)
+
+        async def drive():
+            server, _ = serve(kind, predictor, config)
+            with server:
+                await server.predict_async(
+                    PredictionRequest.of(ASYNC_POOL[0], deadline_s=0.01)
+                )
+
+        with pytest.raises(ServingError, match="deadline"):
+            asyncio.run(drive())
+
+    def test_async_native_deadline_miss_is_counted_in_telemetry(self, kind):
+        """An expired ``predict_async`` wait is abandoned, not cancelled: the
+        pipeline still sheds and counts the request, and the abandoned
+        future never warns 'exception was never retrieved'."""
+        predictor = CountingPredictor(delay_s=0.3)
+        config = ServerConfig(max_wait_s=0.0)
+        server, _ = serve(kind, predictor, config)
+        blocker_workload, doomed_workload = same_worker(server, 2)
+
+        async def drive():
+            blocker = asyncio.wrap_future(server.submit(blocker_workload))
+            await asyncio.sleep(0.05)  # first batch occupies the model worker
+            with pytest.raises(DeadlineExceededError):
+                await server.predict_async(
+                    PredictionRequest.of(doomed_workload, deadline_s=0.1)
+                )
+            await blocker
+
+        with server:
+            asyncio.run(drive())
+            deadline = time.monotonic() + 5.0
+            while server.snapshot().shed_requests == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            report = server.snapshot()
+        assert report.shed_requests == 1
+        assert report.deadline_misses == 1
+        assert report.n_errors == 0
+
+    def test_predict_batch_async_deadline_clock_starts_at_submission(self, kind):
+        """Request *i*'s budget must not grow by the time spent awaiting
+        requests before it in the batch loop."""
+        predictor = CountingPredictor(delay_s=0.25)
+        config = ServerConfig(max_batch_size=1, max_wait_s=0.0, enable_cache=False)
+        server, _ = serve(kind, predictor, config)
+
+        async def drive():
+            requests = [PredictionRequest.of(w, deadline_s=0.4) for w in same_worker(server, 3)]
+            await server.predict_batch_async(requests)
+
+        with server:
+            with pytest.raises(DeadlineExceededError):
+                asyncio.run(drive())

@@ -9,6 +9,7 @@ are bit-identical to the in-process server on the same request stream.
 
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -27,13 +28,13 @@ from repro.exceptions import (
     ServingError,
     UnknownModelError,
 )
-from repro.registry import ModelRegistry
+from repro.registry import ModelRegistry, ShardedModelRegistry
 from repro.serving import (
-    AsyncPredictionServer,
     GatewayClient,
     GatewayConfig,
     HttpGateway,
     PredictionServer,
+    ShardedPredictionServer,
     TelemetryReport,
 )
 from repro.serving.http.schemas import request_to_wire
@@ -62,7 +63,7 @@ class TestFailurePaths:
     @pytest.fixture()
     def stack(self):
         model = CountingPredictor(42.0)
-        with AsyncPredictionServer(model) as server:
+        with PredictionServer(model) as server:
             config = GatewayConfig(port=0, max_body_bytes=64 * 1024)
             with HttpGateway(server, config=config) as gateway:
                 yield model, server, gateway
@@ -182,7 +183,7 @@ class TestFailurePaths:
 
 class TestMiddleware:
     def test_request_id_is_echoed_or_generated(self):
-        with AsyncPredictionServer(CountingPredictor()) as server:
+        with PredictionServer(CountingPredictor()) as server:
             with HttpGateway(server, config=GatewayConfig(port=0)) as gateway:
                 _, _, response = _raw_call(
                     gateway.port, "GET", "/healthz", headers={"X-Request-Id": "mine-1"}
@@ -193,7 +194,7 @@ class TestMiddleware:
                 assert generated and generated.startswith("req-http-")
 
     def test_request_ids_are_visible_in_the_telemetry_scrape(self, workloads):
-        with AsyncPredictionServer(CountingPredictor()) as server:
+        with PredictionServer(CountingPredictor()) as server:
             with HttpGateway(server, config=GatewayConfig(port=0)) as gateway:
                 wire = json.dumps(
                     request_to_wire(PredictionRequest.of(workloads[0]))
@@ -212,7 +213,7 @@ class TestMiddleware:
         def deny_everyone(ctx):
             return None
 
-        with AsyncPredictionServer(CountingPredictor()) as server:
+        with PredictionServer(CountingPredictor()) as server:
             with HttpGateway(
                 server, config=GatewayConfig(port=0), authenticator=deny_everyone
             ) as gateway:
@@ -224,7 +225,7 @@ class TestMiddleware:
 
     def test_admission_gate_sheds_with_503(self, workloads):
         model = CountingPredictor(7.0, delay_s=0.5)
-        with AsyncPredictionServer(model) as server:
+        with PredictionServer(model) as server:
             config = GatewayConfig(port=0, max_inflight=1)
             with HttpGateway(server, config=config) as gateway:
                 with GatewayClient(gateway.url) as client:
@@ -242,7 +243,7 @@ class TestMiddleware:
                 assert gateway.gateway_stats()["shed_overload"] >= 1
 
     def test_keep_alive_serves_many_requests_per_connection(self):
-        with AsyncPredictionServer(CountingPredictor()) as server:
+        with PredictionServer(CountingPredictor()) as server:
             with HttpGateway(server, config=GatewayConfig(port=0)) as gateway:
                 conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10)
                 try:
@@ -255,6 +256,35 @@ class TestMiddleware:
                     conn.close()
                 assert gateway.gateway_stats()["connections"] == 1
 
+    def test_close_with_open_keep_alive_connection_logs_nothing(self):
+        """Regression: close() cancelled the parked connection task, and the
+        stream protocol's done-callback then logged a CancelledError
+        traceback through the ``asyncio`` logger."""
+        records: list[logging.LogRecord] = []
+
+        class Collect(logging.Handler):
+            def emit(self, record: logging.LogRecord) -> None:
+                records.append(record)
+
+        handler = Collect(level=logging.DEBUG)
+        asyncio_logger = logging.getLogger("asyncio")
+        asyncio_logger.addHandler(handler)
+        try:
+            with PredictionServer(CountingPredictor()) as server:
+                gateway = HttpGateway(server, config=GatewayConfig(port=0)).start()
+                conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10)
+                try:
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    response.read()
+                    gateway.close()  # the connection is still open and idle
+                finally:
+                    conn.close()
+        finally:
+            asyncio_logger.removeHandler(handler)
+        assert [record.getMessage() for record in records] == []
+
 
 class TestAdminAndClient:
     def test_promote_rollback_lineage_over_http(self, workloads):
@@ -262,7 +292,7 @@ class TestAdminAndClient:
         registry.register("default", CountingPredictor(10.0))
         registry.register("default", CountingPredictor(20.0))
         registry.promote("default", 1)
-        with AsyncPredictionServer(registry, model_name="default") as server:
+        with PredictionServer(registry, model_name="default") as server:
             with HttpGateway(server, config=GatewayConfig(port=0)) as gateway:
                 with GatewayClient(gateway.url) as client:
                     request = PredictionRequest.of(
@@ -295,7 +325,7 @@ class TestAdminAndClient:
         client.close()
 
     def test_snapshot_parses_the_scrape_into_a_telemetry_report(self, workloads):
-        with AsyncPredictionServer(CountingPredictor()) as server:
+        with PredictionServer(CountingPredictor()) as server:
             with HttpGateway(server, config=GatewayConfig(port=0)) as gateway:
                 with GatewayClient(gateway.url) as client:
                     client.predict(PredictionRequest.of(workloads[0]))
@@ -307,6 +337,12 @@ class TestAdminAndClient:
                     assert client.batcher_stats() is None
 
 
+def _two_shard_server(model):
+    registry = ShardedModelRegistry(n_shards=2)
+    registry.register_replicated("default", model)
+    return ShardedPredictionServer(registry)
+
+
 class TestEndToEndParity:
     @pytest.fixture(scope="class")
     def model(self, tpcds_small):
@@ -316,7 +352,7 @@ class TestEndToEndParity:
         model.fit(tpcds_small.train_records)
         return model
 
-    @pytest.mark.parametrize("backend_cls", [AsyncPredictionServer, PredictionServer])
+    @pytest.mark.parametrize("backend_cls", [PredictionServer, _two_shard_server])
     def test_gateway_answers_are_bit_identical_to_in_process(
         self, model, workloads, backend_cls
     ):
@@ -353,9 +389,9 @@ class TestEndToEndParity:
             PredictionRequest.of(workload, request_id=f"batch-{i}")
             for i, workload in enumerate(workloads[:6])
         ]
-        with AsyncPredictionServer(model) as reference:
+        with PredictionServer(model) as reference:
             expected = reference.predict_batch(requests)
-        with AsyncPredictionServer(model) as backend:
+        with PredictionServer(model) as backend:
             with HttpGateway(backend, config=GatewayConfig(port=0)) as gateway:
                 with GatewayClient(gateway.url) as client:
                     got = client.predict_batch(requests)
@@ -363,7 +399,7 @@ class TestEndToEndParity:
         assert [r.request_id for r in got] == [r.request_id for r in expected]
 
     def test_deadline_misses_from_the_wire_land_in_the_scrape(self, model, workloads):
-        with AsyncPredictionServer(model) as backend:
+        with PredictionServer(model) as backend:
             with HttpGateway(backend, config=GatewayConfig(port=0)) as gateway:
                 with GatewayClient(gateway.url) as client:
                     client.predict(PredictionRequest.of(workloads[0]))

@@ -57,8 +57,38 @@ class TestPredict:
     def test_submit_after_close_raises(self, workload_pool):
         server = PredictionServer(ConstantMemoryPredictor(1.0))
         server.close()
+        server.close()  # idempotent
         with pytest.raises(ServingError):
             server.submit(workload_pool[0])
+        with pytest.raises(ServingError):
+            server.submit_request(PredictionRequest.of(workload_pool[0]))
+
+    def test_close_drains_pending_requests(self, workload_pool):
+        predictor = CountingPredictor()
+        # A window long enough that only close() can flush the batch.
+        config = ServerConfig(max_batch_size=100, max_wait_s=30.0)
+        server = PredictionServer(predictor, config=config)
+        futures = [server.submit(w) for w in workload_pool[:5]]
+        server.close()
+        assert [f.result(timeout=1.0) for f in futures] == [predictor.value] * 5
+        assert server.batcher_stats().close_flushes == 1
+
+    def test_failing_model_fails_every_request_in_the_batch(self, workload_pool):
+        class FailingPredictor:
+            def predict_workload(self, queries):
+                raise RuntimeError("model fell over")
+
+            def predict(self, workloads):
+                raise RuntimeError("model fell over")
+
+        config = ServerConfig(enable_cache=False, max_batch_size=4, max_wait_s=30.0)
+        with PredictionServer(FailingPredictor(), config=config) as server:
+            futures = [server.submit(w) for w in workload_pool[:4]]  # one size flush
+            for future in futures:
+                with pytest.raises(RuntimeError, match="model fell over"):
+                    future.result(timeout=5.0)
+            assert server.batcher_stats().batches == 1
+            assert server.snapshot().n_errors == 4
 
 
 class TestCachingAndCoalescing:
@@ -92,6 +122,29 @@ class TestCachingAndCoalescing:
                 server.predict_workload(workload_pool[0])
             assert server.cache_stats() is None
         assert predictor.calls == 3
+
+    def test_micro_batching_coalesces_distinct_workloads(self, workload_pool):
+        predictor = CountingPredictor()
+        config = ServerConfig(max_batch_size=32, max_wait_s=0.05)
+        with PredictionServer(predictor, config=config) as server:
+            futures = [server.submit(w) for w in workload_pool[:12]]
+            for future in futures:
+                future.result(timeout=5.0)
+            stats = server.batcher_stats()
+        assert stats.requests == 12
+        assert stats.batches < 12
+        assert stats.max_batch_size_seen > 1
+
+    def test_flush_on_size_splits_oversized_waves(self, workload_pool):
+        predictor = CountingPredictor()
+        config = ServerConfig(max_batch_size=4, max_wait_s=0.05)
+        with PredictionServer(predictor, config=config) as server:
+            futures = [server.submit(w) for w in workload_pool[:10]]
+            for future in futures:
+                future.result(timeout=5.0)
+            stats = server.batcher_stats()
+        assert stats.max_batch_size_seen <= 4
+        assert stats.size_flushes >= 1
 
     def test_inline_mode_without_batching(self, workload_pool):
         predictor = CountingPredictor()

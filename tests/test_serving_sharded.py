@@ -35,10 +35,6 @@ class TestConstructionAndRouting:
             ShardedPredictionServer(object())  # type: ignore[arg-type]
         with pytest.raises(ServingError, match="unknown model"):
             ShardedPredictionServer(ShardedModelRegistry(n_shards=2))
-        with pytest.raises(InvalidParameterError, match="unknown serving backend"):
-            ShardedPredictionServer(
-                _replicated_registry(ConstantMemoryPredictor(1.0)), backend="zmq"
-            )
 
     def test_replicated_model_gets_a_server_per_shard(self, workload_pool):
         registry = _replicated_registry(ConstantMemoryPredictor(1.0))
@@ -60,23 +56,21 @@ class TestConstructionAndRouting:
         assert routes == again
         assert len(set(routes)) > 1  # fan-out actually happens
 
-    @pytest.mark.parametrize("backend", ["thread", "asyncio"])
-    def test_satisfies_the_predictor_protocol(self, backend):
+    def test_satisfies_the_predictor_protocol(self):
         registry = _replicated_registry(ConstantMemoryPredictor(1.0))
-        with ShardedPredictionServer(registry, backend=backend) as server:
+        with ShardedPredictionServer(registry) as server:
             assert isinstance(server, Predictor)
 
 
 class TestPredictions:
-    @pytest.mark.parametrize("backend", ["thread", "asyncio"])
-    def test_matches_direct_model_on_both_backends(self, backend, tpcds_small, workload_pool):
+    def test_matches_direct_model(self, tpcds_small, workload_pool):
         from repro.core.model import LearnedWMP
 
         model = LearnedWMP(regressor="ridge", n_templates=8, batch_size=10, random_state=0)
         model.fit(tpcds_small.train_records[:300])
         expected = model.predict(workload_pool[:12])
         registry = _replicated_registry(model, n_shards=2)
-        with ShardedPredictionServer(registry, backend=backend) as server:
+        with ShardedPredictionServer(registry) as server:
             served = server.predict(workload_pool[:12])
         np.testing.assert_allclose(served, expected, rtol=1e-9)
 
@@ -177,18 +171,17 @@ class TestAggregatedIntrospection:
 
         requests = replay_requests_from_workloads(workload_pool, 60, repeat_fraction=0.6, seed=1)
         registry = _replicated_registry(ConstantMemoryPredictor(8.0))
-        with ShardedPredictionServer(registry, backend="asyncio") as server:
+        with ShardedPredictionServer(registry) as server:
             report = LoadGenerator(server, requests, qps=600.0, benchmark="tpcds").run()
         assert report.n_requests == 60
         assert report.n_errors == 0
 
 
 class TestDeadlines:
-    @pytest.mark.parametrize("backend", ["thread", "asyncio"])
-    def test_expired_requests_shed_and_counted_fleet_wide(self, backend, workload_pool):
+    def test_expired_requests_shed_and_counted_fleet_wide(self, workload_pool):
         predictor = CountingPredictor()
         registry = _replicated_registry(predictor)
-        with ShardedPredictionServer(registry, backend=backend) as server:
+        with ShardedPredictionServer(registry) as server:
             live = [
                 server.submit_request(PredictionRequest.of(w, deadline_s=30.0))
                 for w in workload_pool[:6]
@@ -241,7 +234,7 @@ class TestDeadlines:
                 server.predict_batch(requests)
 
     def test_merged_batcher_stats_sum_shed_requests(self):
-        from repro.serving.batcher import BatcherStats
+        from repro.serving.kernel import BatcherStats
         from repro.serving.sharded import _merge_batcher_stats
 
         merged = _merge_batcher_stats(

@@ -5,7 +5,7 @@ mixes, tenants) plus the integration surface: strict config parsing with
 actionable errors, hypothesis properties of the arrival samplers (seeded
 determinism, monotonicity, empirical mean rate), bit-identical compilation,
 and the end-to-end acceptance check that the same scenario produces the
-same per-tenant report counters on both the thread and asyncio backends.
+same per-tenant report counters on the single and the sharded server.
 """
 
 from pathlib import Path
@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from repro.api import CachePolicy
 from repro.exceptions import InvalidParameterError, ScenarioError
 from repro.integration.predictors import ConstantMemoryPredictor
+from repro.registry import ShardedModelRegistry
 from repro.serving import (
-    AsyncPredictionServer,
     LoadGenerator,
     PredictionServer,
     ServerConfig,
     ServingTelemetry,
+    ShardedPredictionServer,
     TelemetryReport,
     TenantReport,
 )
@@ -431,11 +432,20 @@ class TestTenantTelemetry:
 # -- end-to-end determinism (acceptance) -----------------------------------------------
 
 
+def make_server(backend: str, config: ServerConfig):
+    """A single ``"thread"`` server or a 2-shard ``"sharded"`` front."""
+    model = ConstantMemoryPredictor(32.0)
+    if backend == "thread":
+        return PredictionServer(model, config=config)
+    registry = ShardedModelRegistry(n_shards=2)
+    registry.register_replicated("default", model)
+    return ShardedPredictionServer(registry, config=config)
+
+
 def run_scenario(compiled, backend: str):
     """Drive one compiled scenario on a fresh tiny server; return the report."""
-    server_cls = PredictionServer if backend == "thread" else AsyncPredictionServer
     config = ServerConfig(max_batch_size=16, max_wait_s=0.002)
-    with server_cls(ConstantMemoryPredictor(32.0), config=config) as server:
+    with make_server(backend, config) as server:
         return LoadGenerator.from_scenario(server, compiled).run()
 
 
@@ -451,14 +461,14 @@ class TestEndToEndDeterminism:
 
     Deadlines in ``small_spec`` are generous (or absent), so the counter
     values are wall-clock independent: no misses, no sheds, every scheduled
-    request completes — on the thread and the asyncio backend alike.
+    request completes — on the single and the sharded server alike.
     """
 
     @pytest.fixture(scope="class")
     def compiled(self):
         return compile_scenario(small_spec())
 
-    @pytest.mark.parametrize("backend", ["thread", "asyncio"])
+    @pytest.mark.parametrize("backend", ["thread", "sharded"])
     def test_counters_reproducible_per_backend(self, compiled, backend):
         first = run_scenario(compiled, backend)
         second = run_scenario(compiled, backend)
@@ -468,12 +478,12 @@ class TestEndToEndDeterminism:
 
     def test_backends_agree(self, compiled):
         thread = run_scenario(compiled, "thread")
-        aio = run_scenario(compiled, "asyncio")
+        sharded = run_scenario(compiled, "sharded")
         expected = {
             name: (count, 0, 0, 0) for name, count in compiled.tenant_counts().items()
         }
         assert counters(thread) == expected
-        assert counters(aio) == expected
+        assert counters(sharded) == expected
 
     def test_stream_identical_across_compilations(self):
         spec = small_spec()

@@ -7,12 +7,6 @@ workload shapes are answered from the LRU cache, identical in-flight
 requests are coalesced into one computation, and the residual misses are
 micro-batched into vectorized ``predict`` calls.
 
-The front comparison at the bottom measures the same replay stream on both
-serving fronts — the thread-backed server and a 2-shard consistent-hash
-fleet — and checks that they answer identically and that the thread-backed
-front beats the naive loop.  The CLI emits the same comparison into
-``BENCH_serving.json`` via ``learnedwmp loadtest --shards ...``.
-
 Each timed pass lasts only 20-50 ms, and the machine's speed can change
 twofold between passes, so one pass proves nothing.  Naive and served
 passes are interleaved ``TIMING_PASSES`` times, and a speedup is the median
@@ -35,8 +29,7 @@ from repro.api import CachePolicy, PredictionRequest
 from repro.core.model import LearnedWMP
 from repro.core.workload import Workload, make_workloads
 from repro.exceptions import DeadlineExceededError
-from repro.registry import ShardedModelRegistry
-from repro.serving import PredictionServer, ServerConfig, ShardedPredictionServer
+from repro.serving import PredictionServer, ServerConfig
 from repro.serving.kernel import (
     Complete,
     Fail,
@@ -133,74 +126,6 @@ def test_serving_throughput_beats_naive_loop(benchmark):
     assert batcher.requests < len(requests)
 
 
-def _drive(server, requests) -> tuple[float, "np.ndarray"]:
-    """Submit every request up front, wait for all; returns (qps, values)."""
-    gc.collect()  # as in _served_qps
-    start = time.perf_counter()
-    futures = [server.submit(workload) for workload in requests]
-    values = np.array([future.result() for future in futures], dtype=np.float64)
-    elapsed = time.perf_counter() - start
-    return len(requests) / elapsed, values
-
-
-def _make_server(kind: str, model, config: ServerConfig):
-    if kind == "thread":
-        return PredictionServer(model, config=config)
-    registry = ShardedModelRegistry(n_shards=2)
-    registry.register_replicated("default", model)
-    return ShardedPredictionServer(registry, config=config)
-
-
-def test_backend_comparison_thread_vs_sharded(benchmark):
-    """Both serving fronts answer identically and save model work.
-
-    The thread front must beat the naive loop (median speedup 1.15-1.65x
-    on this stream).  The 2-shard fleet's speedup is printed, not asserted:
-    it reads 1.1-1.6x with single passes down to 0.76x (the thread front's
-    lowest pass read 1.18x), too close to 1 to assert.
-    """
-    model, requests = _setup()
-    model.predict_workload(requests[0])  # warm lazy caches fairly
-    kinds = ("thread", "sharded")
-
-    config = ServerConfig(max_batch_size=64, max_wait_s=0.002)
-    naive: list[float] = []
-    throughput: dict[str, list[float]] = {kind: [] for kind in kinds}
-    answers: dict[str, np.ndarray] = {}
-    model_requests: dict[str, int] = {}
-    reused: dict[str, int] = {}
-
-    def _run_all() -> None:
-        for _ in range(TIMING_PASSES):
-            naive.append(naive_loop_qps(model, requests))
-            for kind in kinds:
-                with _make_server(kind, model, config) as server:
-                    qps, answers[kind] = _drive(server, requests)
-                    throughput[kind].append(qps)
-                    model_requests[kind] = server.batcher_stats().requests
-                    reused[kind] = server.cache_stats().hits + server.coalesced_requests
-
-    run_once(benchmark, _run_all)
-    speedup = {kind: _median_speedup(throughput[kind], naive) for kind in kinds}
-
-    print()
-    print(f"naive one-call-at-a-time : {np.median(naive):10.0f} req/s")
-    for kind in kinds:
-        print(
-            f"{kind:<25}: {np.median(throughput[kind]):10.0f} req/s "
-            f"({speedup[kind]:6.2f}x naive)"
-        )
-
-    # Identical answers on both fronts (same model, caches are exact).
-    np.testing.assert_allclose(answers["sharded"], answers["thread"], rtol=1e-9)
-    # Every front answers repeats from the cache or by coalescing, so fewer
-    # requests reach the model than the naive loop sends it.
-    for kind in kinds:
-        assert reused[kind] > 0, kind
-        assert model_requests[kind] < len(requests), kind
-    assert speedup["thread"] > 1.0, "thread backend slower than the naive loop"
-
-
 class _RecordingModel:
     """Wraps a fitted model, recording every workload that reaches it."""
 
@@ -221,7 +146,7 @@ class _RecordingModel:
 
 
 def test_deadline_traffic_sheds_expired_and_preserves_answers(benchmark):
-    """The end-to-end deadline contract, on both serving fronts.
+    """The end-to-end deadline contract on the serving front.
 
     Interleave the replay stream (every request under a generous deadline)
     with doomed requests whose budget is already spent.  The doomed ones
@@ -241,63 +166,54 @@ def test_deadline_traffic_sheds_expired_and_preserves_answers(benchmark):
     assert not doomed_signatures & {workload_signature(w) for w in requests}
 
     config = ServerConfig(max_batch_size=64, max_wait_s=0.002)
-    outcomes: dict[str, dict] = {}
+    recorder = _RecordingModel(model)
+    outcome: dict = {}
 
-    def _run_all() -> None:
-        for kind in ("thread", "sharded"):
-            recorder = _RecordingModel(model)
-            with _make_server(kind, recorder, config) as server:
-                live = [
-                    server.submit_request(PredictionRequest.of(w, deadline_s=30.0))
-                    for w in requests
-                ]
-                doomed = [
-                    server.submit_request(PredictionRequest.of(w, deadline_s=1e-9))
-                    for w in doomed_pool
-                ]
-                shed_failures = 0
-                start = time.perf_counter()
-                for future in doomed:
-                    try:
-                        future.result(timeout=10.0)
-                    except DeadlineExceededError:
-                        shed_failures += 1
-                doomed_wait_s = time.perf_counter() - start
-                values = np.array(
-                    [f.result(timeout=30.0).memory_mb for f in live], dtype=np.float64
-                )
-                outcomes[kind] = {
-                    "values": values,
-                    "shed_failures": shed_failures,
-                    "doomed_wait_s": doomed_wait_s,
-                    "snapshot": server.snapshot(),
-                    "executed": list(recorder.executed),
-                }
+    def _run() -> None:
+        with PredictionServer(recorder, config=config) as server:
+            live = [
+                server.submit_request(PredictionRequest.of(w, deadline_s=30.0))
+                for w in requests
+            ]
+            doomed = [
+                server.submit_request(PredictionRequest.of(w, deadline_s=1e-9))
+                for w in doomed_pool
+            ]
+            shed_failures = 0
+            start = time.perf_counter()
+            for future in doomed:
+                try:
+                    future.result(timeout=10.0)
+                except DeadlineExceededError:
+                    shed_failures += 1
+            outcome["doomed_wait_s"] = time.perf_counter() - start
+            outcome["shed_failures"] = shed_failures
+            outcome["values"] = np.array(
+                [f.result(timeout=30.0).memory_mb for f in live], dtype=np.float64
+            )
+            outcome["snapshot"] = server.snapshot()
 
-    run_once(benchmark, _run_all)
+    run_once(benchmark, _run)
 
+    report = outcome["snapshot"]
     print()
-    for kind, outcome in outcomes.items():
-        report = outcome["snapshot"]
-        print(
-            f"{kind:<8}: shed {report.shed_requests:3d} / {len(doomed_pool)} doomed, "
-            f"deadline misses {report.deadline_misses:3d}, "
-            f"doomed failed in {1e3 * outcome['doomed_wait_s']:.1f} ms total"
-        )
+    print(
+        f"shed {report.shed_requests:3d} / {len(doomed_pool)} doomed, "
+        f"deadline misses {report.deadline_misses:3d}, "
+        f"doomed failed in {1e3 * outcome['doomed_wait_s']:.1f} ms total"
+    )
 
-    for kind, outcome in outcomes.items():
-        # 1. Every doomed request failed fast instead of stretching the run.
-        assert outcome["shed_failures"] == len(doomed_pool), kind
-        assert outcome["doomed_wait_s"] < 5.0, kind
-        # 2. ...and was counted as shed, never executed on the model.
-        report = outcome["snapshot"]
-        assert report.shed_requests == len(doomed_pool), kind
-        assert report.deadline_misses >= len(doomed_pool), kind
-        assert report.n_errors == 0, kind
-        executed_signatures = {workload_signature(w) for w in outcome["executed"]}
-        assert not executed_signatures & doomed_signatures, kind
-        # 3. Every non-expiring request answers exactly the naive loop.
-        np.testing.assert_allclose(outcome["values"], expected, rtol=1e-9, atol=0.0)
+    # 1. Every doomed request failed fast instead of stretching the run.
+    assert outcome["shed_failures"] == len(doomed_pool)
+    assert outcome["doomed_wait_s"] < 5.0
+    # 2. ...and was counted as shed, never executed on the model.
+    assert report.shed_requests == len(doomed_pool)
+    assert report.deadline_misses >= len(doomed_pool)
+    assert report.n_errors == 0
+    executed_signatures = {workload_signature(w) for w in recorder.executed}
+    assert not executed_signatures & doomed_signatures
+    # 3. Every non-expiring request answers exactly the naive loop.
+    np.testing.assert_allclose(outcome["values"], expected, rtol=1e-9, atol=0.0)
 
 
 # -- scenario-driven traffic (repro.workloads.scenarios) -------------------------------
@@ -440,8 +356,8 @@ def test_two_tenant_contention_keeps_steady_tenant_clean(benchmark):
 
     The SLO claim is checked on a virtual-clock replay of the compiled
     schedule through the kernel, so it does not depend on how fast the
-    machine runs the model.  The live single-server and 2-shard runs then
-    check that every scheduled request is accounted for on both fronts.
+    machine runs the model.  The live server run then checks that every
+    scheduled request is accounted for.
     """
     from repro.serving import LoadGenerator
     from repro.workloads.scenarios import compile_scenario, load_scenario
@@ -475,35 +391,28 @@ def test_two_tenant_contention_keeps_steady_tenant_clean(benchmark):
     flat_steady = _replay_through_kernel(flat, config, REPLAY_BATCH_S)["steady"]
     assert flat_steady["late"] + flat_steady["shed"] > 0
 
-    reports: dict[str, object] = {}
-
     def _run():
-        for kind in ("thread", "sharded"):
-            with _make_server(kind, model, config) as server:
-                reports[kind] = LoadGenerator.from_scenario(server, compiled).run()
+        with PredictionServer(model, config=config) as server:
+            return LoadGenerator.from_scenario(server, compiled).run()
 
-    run_once(benchmark, _run)
+    report = run_once(benchmark, _run)
 
     print()
     for name, tally in sorted(replayed.items()):
         print(f"replay   {name:<8}: {dict(sorted(tally.items()))}")
-    for kind, report in reports.items():
-        for name, tenant in sorted(report.tenants.items()):
-            print(
-                f"{kind:<8} {name:<8}: {tenant.n_requests:6d} req, "
-                f"p95 {tenant.latency_p95_ms:8.2f} ms, "
-                f"misses {tenant.deadline_misses:5d}, shed {tenant.shed_requests:5d} "
-                f"(queue_full {tenant.shed_queue_full:4d}, "
-                f"evicted {tenant.shed_priority_evict:4d})"
-            )
+    for name, tenant in sorted(report.tenants.items()):
+        print(
+            f"live     {name:<8}: {tenant.n_requests:6d} req, "
+            f"p95 {tenant.latency_p95_ms:8.2f} ms, "
+            f"misses {tenant.deadline_misses:5d}, shed {tenant.shed_requests:5d} "
+            f"(queue_full {tenant.shed_queue_full:4d}, "
+            f"evicted {tenant.shed_priority_evict:4d})"
+        )
 
-    # Same compiled schedule, same per-tenant conservation on every front:
-    # every scheduled request is either answered or shed (never lost), and
-    # the per-tenant totals are a property of the scenario, not the front.
-    scheduled = compiled.tenant_counts()
-    for kind, report in reports.items():
-        accounted = {
-            name: t.n_requests + t.shed_requests + t.n_errors
-            for name, t in report.tenants.items()
-        }
-        assert accounted == scheduled, kind
+    # Per-tenant conservation: every scheduled request is either answered or
+    # shed (never lost), so the per-tenant totals are the scenario's.
+    accounted = {
+        name: t.n_requests + t.shed_requests + t.n_errors
+        for name, t in report.tenants.items()
+    }
+    assert accounted == compiled.tenant_counts()

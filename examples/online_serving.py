@@ -9,9 +9,7 @@ Walks the full lifecycle of serving LearnedWMP predictions online:
 4. load-test it with skewed replay traffic at a target request rate,
 5. hot-swap to version 2 (and roll back) without restarting the server,
 6. await the same server from an asyncio event loop
-   (``predict_batch_async``), then serve the same model on a 2-shard
-   consistent-hash fleet — the same traffic, the same protocol, the same
-   answers.
+   (``predict_batch_async``).
 
 Run with:  PYTHONPATH=src python examples/online_serving.py
 """
@@ -27,8 +25,6 @@ from repro import (
     PredictionRequest,
     PredictionServer,
     ServerConfig,
-    ShardedModelRegistry,
-    ShardedPredictionServer,
     generate_dataset,
     make_workloads,
 )
@@ -127,23 +123,6 @@ def main() -> None:
             f"mean batch {stats.mean_batch_size:.1f}, "
             f"first {answers[0].memory_mb:.1f} MB"
         )
-
-    print("\nSame traffic on a 2-shard consistent-hash fleet ...")
-    sharded_registry = ShardedModelRegistry(n_shards=2)
-    sharded_registry.register_replicated("tpcds", v1)
-    with ShardedPredictionServer(sharded_registry, model_name="tpcds", config=config) as fleet:
-        fleet_report = LoadGenerator(
-            fleet, requests, qps=TARGET_QPS, benchmark=BENCHMARK
-        ).run()
-        shares = {
-            shard: sum(1 for w in requests if fleet.route_request(w) == shard)
-            for shard in fleet.shard_servers
-        }
-        print(
-            f"  sharded fleet   : {fleet_report.achieved_qps:8.1f} req/s, "
-            f"p95 {fleet_report.latency_p95_ms:.2f} ms"
-        )
-        print(f"  request shares  : {shares} (routed by workload signature)")
 
 
 if __name__ == "__main__":

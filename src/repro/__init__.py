@@ -68,12 +68,7 @@ from repro.core import (
     summarize_residuals,
 )
 from repro.dbms import SimulatedDBMS
-from repro.registry import (
-    ConsistentHashRing,
-    ModelRegistry,
-    ModelVersion,
-    ShardedModelRegistry,
-)
+from repro.registry import ModelRegistry, ModelVersion
 from repro.serving import (
     GatewayClient,
     GatewayConfig,
@@ -81,7 +76,6 @@ from repro.serving import (
     LoadGenerator,
     PredictionServer,
     ServerConfig,
-    ShardedPredictionServer,
 )
 from repro.workloads import (
     BenchmarkDataset,
@@ -130,10 +124,7 @@ __all__ = [
     "TPCCGenerator",
     "ModelRegistry",
     "ModelVersion",
-    "ConsistentHashRing",
-    "ShardedModelRegistry",
     "PredictionServer",
-    "ShardedPredictionServer",
     "ServerConfig",
     "HttpGateway",
     "GatewayConfig",

@@ -21,17 +21,13 @@ cover the day-to-day tasks of working with the reproduction:
     LRU/TTL caching) around a trained or freshly trained model, drive it
     with replayed benchmark traffic and print the serving telemetry —
     including the model's plan-feature cache counters (sized with
-    ``--feature-cache-size``).  ``--shards N`` serves through a
-    consistent-hash :class:`~repro.serving.sharded.ShardedPredictionServer`
-    over an N-shard registry.
+    ``--feature-cache-size``).
 
 ``loadtest``
     Replay skewed benchmark traffic against a served model at a target QPS
     and report throughput, latency percentiles and the hit rates of both
     cache tiers — the prediction cache and the plan-feature cache
-    (optionally as JSON for the benchmark trajectory).  Takes the same
-    ``--shards`` flag as ``serve``, so single-server and sharded
-    configurations are load-tested with one command.
+    (optionally as JSON for the benchmark trajectory).
     ``--deadline-ms`` injects a per-request deadline into the replayed
     traffic; the serving tier enforces it end-to-end (expired requests are
     shed before model execution) and the report carries
@@ -135,12 +131,6 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_FEATURE_CACHE_SIZE,
         help="plan-feature cache entries on the served model (0 disables memoization)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="registry shards; >1 serves through a consistent-hash ShardedPredictionServer",
     )
 
 
@@ -356,20 +346,15 @@ def _make_server(
 ):
     """Build (registry, server) around ``model`` from the shared serving flags.
 
-    ``--shards N`` (N > 1) builds a
-    :class:`~repro.registry.ShardedModelRegistry` with the model replicated
-    on every shard behind a
-    :class:`~repro.serving.sharded.ShardedPredictionServer`; otherwise a
-    single-registry :class:`~repro.serving.server.PredictionServer` is
-    stood up.  ``tenant_weights`` /
+    The model is registered as ``"default"`` in a fresh
+    :class:`~repro.registry.ModelRegistry` behind one
+    :class:`~repro.serving.server.PredictionServer`.  ``tenant_weights`` /
     ``tenant_max_inflight`` are scenario-derived quota defaults; explicit
     ``--tenant-weight`` / ``--tenant-max-inflight`` flags override them.
     """
-    from repro.registry import ModelRegistry, ShardedModelRegistry
-    from repro.serving import PredictionServer, ServerConfig, ShardedPredictionServer
+    from repro.registry import ModelRegistry
+    from repro.serving import PredictionServer, ServerConfig
 
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
     if hasattr(model, "configure_feature_cache"):
         model.configure_feature_cache(args.feature_cache_size)
 
@@ -387,14 +372,9 @@ def _make_server(
         tenant_weights=weights,
         tenant_max_inflight=caps,
     )
-    if args.shards > 1:
-        registry = ShardedModelRegistry(args.shards)
-        registry.register_replicated("default", model)
-        server = ShardedPredictionServer(registry, model_name="default", config=config)
-    else:
-        registry = ModelRegistry()
-        registry.register("default", model)
-        server = PredictionServer(registry, model_name="default", config=config)
+    registry = ModelRegistry()
+    registry.register("default", model)
+    server = PredictionServer(registry, model_name="default", config=config)
     return registry, server
 
 
@@ -435,8 +415,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     registry, server, requests = _serving_setup(args)
     print(
         f"serving model 'default' v{registry.active_version('default')} "
-        f"(shards={args.shards}, "
-        f"cache={'on' if not args.no_cache else 'off'}, "
+        f"(cache={'on' if not args.no_cache else 'off'}, "
         f"batching={'on' if not args.no_batching else 'off'})"
     )
     print(f"replaying {len(requests)} requests at {args.qps:.0f} req/s ...\n")
@@ -493,8 +472,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     with server, HttpGateway(server, config=config) as gateway:
         print(
             f"gateway listening on {gateway.url} "
-            f"(model 'default' v{registry.active_version('default')}, "
-            f"shards={args.shards})",
+            f"(model 'default' v{registry.active_version('default')})",
             flush=True,
         )
         try:
@@ -631,7 +609,7 @@ def _cmd_loadtest_scenario(args: argparse.Namespace) -> int:
             tenant_weights=spec.tenant_weights(),
             tenant_max_inflight=spec.tenant_max_inflight(),
         )
-        print(f"replaying (shards={args.shards}) ...\n")
+        print("replaying ...\n")
         with server:
             report = LoadGenerator.from_scenario(server, compiled).run()
 
@@ -642,8 +620,6 @@ def _cmd_loadtest_scenario(args: argparse.Namespace) -> int:
         if args.url is not None:
             payload["transport"] = "http"
             payload["url"] = args.url
-        else:
-            payload["shards"] = args.shards
         _write_loadtest_json(payload, args.output, args.section)
         print(f"wrote JSON report to {args.output}")
     return 0
@@ -661,8 +637,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
     _, server, requests = _serving_setup(args)
     print(
-        f"load-testing at {args.qps:.0f} req/s with {len(requests)} requests "
-        f"(shards={args.shards}) ...\n"
+        f"load-testing at {args.qps:.0f} req/s with {len(requests)} requests ...\n"
     )
     with server:
         from repro.serving import LoadGenerator
@@ -704,7 +679,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         print(f"serving speedup     : {report.achieved_qps / naive_qps:.2f}x")
     if args.output is not None:
         payload = report.to_dict()
-        payload["shards"] = args.shards
         payload["parity_max_delta_mb"] = parity_delta
         if args.deadline_ms is not None:
             payload["deadline_ms"] = args.deadline_ms

@@ -16,6 +16,17 @@ from repro.ml.base import BaseEstimator, RegressorMixin, check_array, check_is_f
 __all__ = ["LinearRegression", "Ridge"]
 
 
+def _predict_rows(X: np.ndarray, coef: np.ndarray, intercept: float) -> np.ndarray:
+    """``X @ coef + intercept``, reduced one row at a time.
+
+    A BLAS matrix-vector product may sum a row differently depending on how
+    many rows it is given, so a prediction would depend on the batch it
+    lands in.  Reducing each C-contiguous row on its own gives every row
+    the same answer at any batch size and for either memory order.
+    """
+    return (np.ascontiguousarray(X) * coef).sum(axis=1) + intercept
+
+
 class LinearRegression(BaseEstimator, RegressorMixin):
     """Ordinary least squares fitted with a numerically-stable lstsq solve."""
 
@@ -41,8 +52,7 @@ class LinearRegression(BaseEstimator, RegressorMixin):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         check_is_fitted(self, "coef_")
-        X = check_array(X)
-        return X @ self.coef_ + self.intercept_
+        return _predict_rows(check_array(X), self.coef_, self.intercept_)
 
 
 class Ridge(BaseEstimator, RegressorMixin):
@@ -91,5 +101,4 @@ class Ridge(BaseEstimator, RegressorMixin):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         check_is_fitted(self, "coef_")
-        X = check_array(X)
-        return X @ self.coef_ + self.intercept_
+        return _predict_rows(check_array(X), self.coef_, self.intercept_)

@@ -17,37 +17,26 @@ production request rates:
 * :mod:`~repro.serving.server` — :class:`PredictionServer`, the one driver
   of the kernel (a condition-variable worker thread), with blocking and
   coroutine (``predict_async``) surfaces;
-* :mod:`~repro.serving.sharded` — the :class:`ShardedPredictionServer`
-  front fanning requests out over per-shard servers of a
-  :class:`~repro.registry.ShardedModelRegistry`;
 * :mod:`~repro.serving.loadgen` — an open-loop load-test harness replaying
   benchmark traffic at a target QPS;
 * :mod:`~repro.serving.http` — the HTTP/1.1 gateway subsystem: a JSON wire
   protocol over any backend (:class:`HttpGateway`) plus the blocking
   :class:`GatewayClient` giving remote callers the in-process surface.
 
-See ``docs/SERVING.md`` for the request lifecycle, the shard-routing
-diagram, and the tuning guide.
+See ``docs/SERVING.md`` for the request lifecycle and the tuning guide.
 """
 
-from repro.registry import (
-    ConsistentHashRing,
-    ModelRegistry,
-    ModelVersion,
-    ShardedModelRegistry,
-)
+from repro.registry import ModelRegistry, ModelVersion
 from repro.serving.cache import CacheStats, LRUTTLCache, workload_signature
 from repro.serving.http import GatewayClient, GatewayConfig, HttpGateway
 from repro.serving.kernel import BatcherStats, PipelineKernel
 from repro.serving.loadgen import LoadGenerator, LoadTestReport
 from repro.serving.server import PredictionServer, ServerConfig
-from repro.serving.sharded import ShardedPredictionServer
 from repro.serving.telemetry import ServingTelemetry, TelemetryReport, TenantReport
 
 __all__ = [
     "BatcherStats",
     "CacheStats",
-    "ConsistentHashRing",
     "GatewayClient",
     "GatewayConfig",
     "HttpGateway",
@@ -60,8 +49,6 @@ __all__ = [
     "PredictionServer",
     "ServerConfig",
     "ServingTelemetry",
-    "ShardedModelRegistry",
-    "ShardedPredictionServer",
     "TelemetryReport",
     "TenantReport",
     "workload_signature",

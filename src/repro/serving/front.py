@@ -1,14 +1,14 @@
-"""The serving-front facade shared by the single and the sharded server.
+"""The serving-front facade: the public surface built on two submit primitives.
 
-Every serving front (:class:`~repro.serving.server.PredictionServer` and
-:class:`~repro.serving.sharded.ShardedPredictionServer`) exposes the same
-surface — the typed :class:`repro.api.Predictor` protocol, the legacy
-``WorkloadMemoryPredictor`` surface, a coroutine surface for callers on
-their own event loop, streaming, telemetry snapshots and the
-context-manager lifecycle.  :class:`ServingFrontBase` is the single copy of
-that facade: a front only implements the two submission primitives
-(``submit`` / ``submit_request``) plus its stats accessors, and inherits the
-rest.
+:class:`~repro.serving.server.PredictionServer` exposes its whole surface
+through this facade — the typed :class:`repro.api.Predictor` protocol, the
+legacy ``WorkloadMemoryPredictor`` surface, a coroutine surface for callers
+on their own event loop, streaming, telemetry snapshots and the
+context-manager lifecycle.  :class:`ServingFrontBase` keeps that facade
+apart from the kernel driver: a subclass only implements the two submission
+primitives (``submit`` / ``submit_request``) plus its stats accessors, and
+inherits the rest — which is also what lets a test put a fake driver
+beneath it.
 """
 
 from __future__ import annotations
@@ -81,13 +81,13 @@ def await_within_budget(
 
 
 class ServingFrontBase:
-    """The protocol facade every serving front shares.
+    """The protocol facade of a serving front.
 
-    Subclasses provide ``submit(queries, *, signature=None)`` returning a
-    ``Future[float]``, ``submit_request(request, *, signature=None)``
-    returning a ``Future[PredictionResult]``, a ``config``, a ``telemetry``
-    accumulator, and ``feature_cache_stats()``; this base turns those into
-    the full :class:`repro.api.Predictor` + legacy surface.
+    Subclasses provide ``submit(queries)`` returning a ``Future[float]``,
+    ``submit_request(request)`` returning a ``Future[PredictionResult]``, a
+    ``config``, a ``telemetry`` accumulator, and ``feature_cache_stats()``;
+    this base turns those into the full :class:`repro.api.Predictor` +
+    legacy surface.
     """
 
     config: ServerConfig

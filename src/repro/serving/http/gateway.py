@@ -15,9 +15,8 @@ transport only — no prediction logic lives here.  A connection is handled as:
 3. **answer** — JSON body, ``X-Request-Id`` echo, keep-alive per HTTP/1.1
    defaults (``Connection: close`` honoured, HTTP/1.0 closes).
 
-The gateway fronts *any* server satisfying the serving surface — a
-:class:`~repro.serving.server.PredictionServer` or a
-:class:`~repro.serving.sharded.ShardedPredictionServer` — because it only
+The gateway fronts *any* server satisfying the serving surface — in
+practice a :class:`~repro.serving.server.PredictionServer` — because it only
 uses ``submit_request`` (thread-safe, future-returning), ``snapshot`` and
 the attached registry.  The gateway owns a private event loop on a daemon
 thread, so ``start()``/``close()`` compose with any caller, and one process

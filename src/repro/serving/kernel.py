@@ -1,13 +1,13 @@
 """The sans-I/O serving pipeline kernel: typed events in, typed actions out.
 
-Three serving fronts (thread, asyncio, sharded) used to re-implement the
-same four-layer request pipeline — prediction cache → in-flight coalescing
-(singleflight) → micro-batcher → registry-resolved model — with parallel
-deadline and telemetry logic, and every pipeline bug had to be patched once
-per front.  :class:`PipelineKernel` extracts that pipeline into one pure
-state machine with **no threads, sockets, timers or clocks inside**: time
-is an input carried on every event, and everything the outside world must
-do comes back as a list of :data:`Action` values.
+Several serving fronts used to re-implement the same four-layer request
+pipeline — prediction cache → in-flight coalescing (singleflight) →
+micro-batcher → registry-resolved model — with parallel deadline and
+telemetry logic, and every pipeline bug had to be patched once per front.
+:class:`PipelineKernel` extracts that pipeline into one pure state machine
+with **no threads, sockets, timers or clocks inside**: time is an input
+carried on every event, and everything the outside world must do comes
+back as a list of :data:`Action` values.
 
 Events (what the world tells the kernel)
 ----------------------------------------
@@ -240,8 +240,8 @@ class Submit:
     request echoes it back).  ``deadline_at`` is the absolute expiry in the
     same time domain as ``now``; ``use_cache=False`` is the BYPASS policy
     (skip the cache read and the singleflight attach, but still
-    write-through-populate the cache).  ``signature`` is a routing front's
-    precomputed workload signature, if any.  ``tenant`` and ``priority``
+    write-through-populate the cache).  ``signature`` is a precomputed cache
+    key for the workload, if the caller has one.  ``tenant`` and ``priority``
     drive scheduling: higher priority fills batch slots (and survives
     overload shedding) first, and the tenant label is what quotas and
     weighted fair share key on.

@@ -76,11 +76,6 @@ class PredictionServer(ServingFrontBase):
         Registry name to serve.
     config:
         Serving policy; defaults enable caching and micro-batching.
-    telemetry:
-        Optional externally owned accumulator.  A
-        :class:`~repro.serving.sharded.ShardedPredictionServer` hands the
-        same instance to every per-shard server so one snapshot holds the
-        exact latency distribution of the whole fleet.
     """
 
     def __init__(
@@ -89,7 +84,6 @@ class PredictionServer(ServingFrontBase):
         *,
         model_name: str = DEFAULT_MODEL_NAME,
         config: ServerConfig | None = None,
-        telemetry: ServingTelemetry | None = None,
     ) -> None:
         self.config = config or ServerConfig()
         if isinstance(source, ModelRegistry):
@@ -99,7 +93,7 @@ class PredictionServer(ServingFrontBase):
             self.registry.register(model_name, source)
         self.model_name = model_name
         self.registry.get(model_name)  # fail fast on unknown names
-        self.telemetry = telemetry if telemetry is not None else ServingTelemetry()
+        self.telemetry = ServingTelemetry()
         self._kernel = PipelineKernel(self.config)
         self._served_version: int | None = None
         self._feature_cache_active = False
@@ -201,7 +195,6 @@ class PredictionServer(ServingFrontBase):
         workload: Workload,
         *,
         use_cache: bool = True,
-        signature: Any = None,
         deadline_at: float | None = None,
         tenant: str | None = None,
         priority: int = 0,
@@ -231,7 +224,6 @@ class PredictionServer(ServingFrontBase):
                 now=time.monotonic(),
                 deadline_at=deadline_at,
                 use_cache=use_cache,
-                signature=signature,
                 tenant=tenant,
                 priority=priority,
             )
@@ -248,18 +240,14 @@ class PredictionServer(ServingFrontBase):
             self._execute(flush)
         return future
 
-    def submit(
-        self, queries: Sequence[QueryRecord] | Workload, *, signature: Any = None
-    ) -> "Future[float]":
+    def submit(self, queries: Sequence[QueryRecord] | Workload) -> "Future[float]":
         """Asynchronously predict one workload's memory demand (MB).
 
         Cache hits resolve immediately; misses are handed to the kernel's
         micro-batcher (or executed inline when batching is disabled).  The
         returned future also feeds telemetry and populates the cache.
-        ``signature`` lets a routing front that already computed the
-        workload's signature pass it down, so the hot path hashes once.
         """
-        inner = self._submit(self._as_workload(queries), signature=signature)
+        inner = self._submit(self._as_workload(queries))
         outer: "Future[float]" = Future()
 
         def _unwrap(done: "Future[tuple[float, bool]]") -> None:
@@ -272,9 +260,7 @@ class PredictionServer(ServingFrontBase):
         inner.add_done_callback(_unwrap)
         return outer
 
-    def submit_request(
-        self, request: PredictionRequest, *, signature: Any = None
-    ) -> "Future[PredictionResult]":
+    def submit_request(self, request: PredictionRequest) -> "Future[PredictionResult]":
         """Asynchronously answer one typed :class:`~repro.api.PredictionRequest`.
 
         The resolved :class:`~repro.api.PredictionResult` carries the served
@@ -282,8 +268,7 @@ class PredictionServer(ServingFrontBase):
         admitted), the request's observed latency, and provenance flags:
         ``cache_hit`` when the prediction cache or in-flight coalescing
         answered it, ``feature_cache_active`` when the served model carries
-        a plan-feature cache below the prediction tier.  ``signature`` is
-        the routing front's precomputed workload signature, if any.
+        a plan-feature cache below the prediction tier.
 
         A request ``deadline_s`` starts counting *here*, at admission: once
         the budget expires the request is shed from the batch queue (the
@@ -296,7 +281,6 @@ class PredictionServer(ServingFrontBase):
         inner = self._submit(
             request.workload,
             use_cache=use_cache,
-            signature=signature,
             deadline_at=deadline_at,
             tenant=request.tenant,
             priority=request.priority,

@@ -30,7 +30,7 @@ class TenantReport:
     One entry per distinct ``tenant`` label seen on
     :class:`~repro.api.PredictionRequest` traffic (scenario tenants); the
     label-free remainder of the traffic is not reported here.  Latencies are
-    in milliseconds, measured the same way as the fleet-wide numbers.
+    in milliseconds, measured the same way as the overall numbers.
 
     ``shed_requests`` splits by reason: ``shed_deadline`` (the request's
     own budget expired), ``shed_queue_full`` (rejected at admission by the
@@ -207,48 +207,62 @@ class TelemetryReport:
         return "\n".join(lines)
 
 
-class _TenantStats:
-    """Mutable per-tenant accumulator behind :class:`ServingTelemetry`."""
+#: The counters every slice keeps, named as in both report types.
+_COUNTERS = (
+    "n_errors",
+    "deadline_misses",
+    "shed_requests",
+    "shed_deadline",
+    "shed_queue_full",
+    "shed_priority_evict",
+)
 
-    __slots__ = (
-        "latencies_s",
-        "errors",
-        "deadline_misses",
-        "shed_requests",
-        "shed_deadline",
-        "shed_queue_full",
-        "shed_priority_evict",
-    )
+
+class _Slice:
+    """The counters of one slice of traffic: all of it, or one tenant's share."""
+
+    __slots__ = ("latencies_s", *_COUNTERS)
 
     def __init__(self) -> None:
         self.latencies_s: list[float] = []
-        self.errors = 0
+        self.n_errors = 0
         self.deadline_misses = 0
         self.shed_requests = 0
         self.shed_deadline = 0
         self.shed_queue_full = 0
         self.shed_priority_evict = 0
 
-    def report(self) -> TenantReport:
+    def count_miss(self, shed: bool, reason: str) -> None:
+        """Count one shed or late request (see ``record_deadline_miss``)."""
+        if reason == "deadline":
+            self.deadline_misses += 1
+        if shed:
+            self.shed_requests += 1
+            if reason == "queue_full":
+                self.shed_queue_full += 1
+            elif reason == "priority_evict":
+                self.shed_priority_evict += 1
+            else:
+                self.shed_deadline += 1
+
+    def fields(self) -> dict[str, Any]:
+        """The slice's report fields: request count, counters, latencies in ms."""
         latencies = np.asarray(self.latencies_s, dtype=np.float64)
         if len(latencies):
             p50, p95, p99 = np.percentile(latencies, [50.0, 95.0, 99.0])
             mean = float(latencies.mean())
+            worst = float(latencies.max())
         else:
-            p50 = p95 = p99 = mean = 0.0
-        return TenantReport(
-            n_requests=len(latencies),
-            n_errors=self.errors,
-            deadline_misses=self.deadline_misses,
-            shed_requests=self.shed_requests,
-            latency_mean_ms=1e3 * mean,
-            latency_p50_ms=1e3 * float(p50),
-            latency_p95_ms=1e3 * float(p95),
-            latency_p99_ms=1e3 * float(p99),
-            shed_deadline=self.shed_deadline,
-            shed_queue_full=self.shed_queue_full,
-            shed_priority_evict=self.shed_priority_evict,
-        )
+            p50 = p95 = p99 = mean = worst = 0.0
+        return {
+            "n_requests": len(latencies),
+            **{name: getattr(self, name) for name in _COUNTERS},
+            "latency_mean_ms": 1e3 * mean,
+            "latency_p50_ms": 1e3 * float(p50),
+            "latency_p95_ms": 1e3 * float(p95),
+            "latency_p99_ms": 1e3 * float(p99),
+            "latency_max_ms": 1e3 * worst,
+        }
 
 
 class ServingTelemetry:
@@ -262,28 +276,16 @@ class ServingTelemetry:
     def __init__(self, *, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
-        self._latencies_s: list[float] = []
-        self._cache_hits = 0
-        self._errors = 0
-        self._deadline_misses = 0
-        self._shed_requests = 0
-        self._shed_deadline = 0
-        self._shed_queue_full = 0
-        self._shed_priority_evict = 0
-        self._batch_sizes: list[int] = []
-        self._max_queue_depth = 0
-        self._first_at: float | None = None
-        self._last_at: float | None = None
-        self._tenants: dict[str, _TenantStats] = {}
+        self.reset()
 
-    def _tenant(self, tenant: str | None) -> _TenantStats | None:
-        """The per-tenant accumulator for ``tenant`` (created lazily); lock held."""
+    def _slices(self, tenant: str | None) -> tuple[_Slice, ...]:
+        """The slices one observation lands in (tenant's created lazily); lock held."""
         if tenant is None:
-            return None
+            return (self._all,)
         stats = self._tenants.get(tenant)
         if stats is None:
-            stats = self._tenants[tenant] = _TenantStats()
-        return stats
+            stats = self._tenants[tenant] = _Slice()
+        return (self._all, stats)
 
     def record(
         self, latency_s: float, *, cache_hit: bool = False, tenant: str | None = None
@@ -291,23 +293,19 @@ class ServingTelemetry:
         """Record one completed request."""
         now = self._clock()
         with self._lock:
-            self._latencies_s.append(float(latency_s))
+            for stats in self._slices(tenant):
+                stats.latencies_s.append(float(latency_s))
             if cache_hit:
                 self._cache_hits += 1
             if self._first_at is None:
                 self._first_at = now
             self._last_at = now
-            stats = self._tenant(tenant)
-            if stats is not None:
-                stats.latencies_s.append(float(latency_s))
 
     def record_error(self, *, tenant: str | None = None) -> None:
         """Count one failed request (model exception on the request path)."""
         with self._lock:
-            self._errors += 1
-            stats = self._tenant(tenant)
-            if stats is not None:
-                stats.errors += 1
+            for stats in self._slices(tenant):
+                stats.n_errors += 1
 
     def record_deadline_miss(
         self,
@@ -328,28 +326,8 @@ class ServingTelemetry:
         :meth:`record_error`.
         """
         with self._lock:
-            if reason == "deadline":
-                self._deadline_misses += 1
-            if shed:
-                self._shed_requests += 1
-                if reason == "queue_full":
-                    self._shed_queue_full += 1
-                elif reason == "priority_evict":
-                    self._shed_priority_evict += 1
-                else:
-                    self._shed_deadline += 1
-            stats = self._tenant(tenant)
-            if stats is not None:
-                if reason == "deadline":
-                    stats.deadline_misses += 1
-                if shed:
-                    stats.shed_requests += 1
-                    if reason == "queue_full":
-                        stats.shed_queue_full += 1
-                    elif reason == "priority_evict":
-                        stats.shed_priority_evict += 1
-                    else:
-                        stats.shed_deadline += 1
+            for stats in self._slices(tenant):
+                stats.count_miss(shed, reason)
 
     def observe_batch(self, size: int) -> None:
         """Record the size of one model-call batch."""
@@ -364,56 +342,36 @@ class ServingTelemetry:
     def reset(self) -> None:
         """Drop every observation (start a fresh measurement window)."""
         with self._lock:
-            self._latencies_s.clear()
-            self._batch_sizes.clear()
+            self._all = _Slice()
+            self._tenants: dict[str, _Slice] = {}
             self._cache_hits = 0
-            self._errors = 0
-            self._deadline_misses = 0
-            self._shed_requests = 0
-            self._shed_deadline = 0
-            self._shed_queue_full = 0
-            self._shed_priority_evict = 0
+            self._batch_sizes: list[int] = []
             self._max_queue_depth = 0
-            self._first_at = None
-            self._last_at = None
-            self._tenants.clear()
+            self._first_at: float | None = None
+            self._last_at: float | None = None
 
     def snapshot(self) -> TelemetryReport:
         """Distil the observations into an immutable :class:`TelemetryReport`."""
         with self._lock:
-            latencies = np.asarray(self._latencies_s, dtype=np.float64)
-            n = len(latencies)
+            overall = self._all.fields()
+            n = overall["n_requests"]
             if n and self._first_at is not None and self._last_at is not None:
                 duration = max(self._last_at - self._first_at, 1e-9)
             else:
                 duration = 0.0
-            if n:
-                p50, p95, p99 = np.percentile(latencies, [50.0, 95.0, 99.0])
-                mean = float(latencies.mean())
-                worst = float(latencies.max())
-            else:
-                p50 = p95 = p99 = mean = worst = 0.0
             return TelemetryReport(
-                n_requests=n,
-                n_errors=self._errors,
+                **overall,
                 duration_s=duration,
                 throughput_qps=n / duration if duration else 0.0,
-                latency_mean_ms=1e3 * mean,
-                latency_p50_ms=1e3 * float(p50),
-                latency_p95_ms=1e3 * float(p95),
-                latency_p99_ms=1e3 * float(p99),
-                latency_max_ms=1e3 * worst,
                 cache_hit_rate=self._cache_hits / n if n else 0.0,
                 mean_batch_size=(
                     float(np.mean(self._batch_sizes)) if self._batch_sizes else 0.0
                 ),
                 max_queue_depth=self._max_queue_depth,
-                deadline_misses=self._deadline_misses,
-                shed_requests=self._shed_requests,
-                shed_deadline=self._shed_deadline,
-                shed_queue_full=self._shed_queue_full,
-                shed_priority_evict=self._shed_priority_evict,
+                # from_dict drops latency_max_ms, which only the overall
+                # report carries.
                 tenants={
-                    name: stats.report() for name, stats in sorted(self._tenants.items())
+                    name: TenantReport.from_dict(stats.fields())
+                    for name, stats in sorted(self._tenants.items())
                 },
             )

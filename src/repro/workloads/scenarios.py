@@ -1,6 +1,6 @@
 """Scenario engine: declarative, seeded, bursty, multi-tenant traffic.
 
-The serving stack (micro-batching, deadlines, caching, sharding, the HTTP
+The serving stack (micro-batching, deadlines, caching, the HTTP
 gateway) was built under one homogeneous fixed-QPS replay stream — which
 never exercises burst shedding, cache churn under mixed workloads, or
 tenant fairness.  This module turns a declarative scenario config (TOML or

@@ -139,39 +139,10 @@ class TestServeAndLoadtest:
         assert payload["n_requests"] == 60
         assert payload["n_errors"] == 0
         assert "cache_hit_rate" in payload and "naive_qps" in payload
-
-    def test_loadtest_with_sharded_registry(self, tmp_path, capsys):
-        output = tmp_path / "bench.json"
-        exit_code = main(
-            [
-                "loadtest",
-                "--benchmark",
-                "tpcc",
-                "--queries",
-                "200",
-                "--requests",
-                "40",
-                "--qps",
-                "400",
-                "--seed",
-                "3",
-                "--shards",
-                "2",
-                "--output",
-                str(output),
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "shards=2" in out
-        # The existing parity check ran against the sharded front: served
-        # decisions must match the direct model exactly.
-        assert "parity" in out
-        payload = json.loads(output.read_text())
-        assert "backend" not in payload
-        assert payload["shards"] == 2
-        assert payload["n_errors"] == 0
-        assert payload["parity_max_delta_mb"] == pytest.approx(0.0, abs=1e-9)
+        assert "shards" not in payload
+        # The parity check ran against the served model: served decisions
+        # match the direct model exactly.
+        assert payload["parity_max_delta_mb"] == 0.0
 
     def test_loadtest_with_deadline_reports_misses(self, tmp_path, capsys):
         output = tmp_path / "bench_deadline.json"
@@ -201,22 +172,6 @@ class TestServeAndLoadtest:
         assert payload["deadline_ms"] == 2000
         assert payload["shed_requests"] == 0
         assert "deadline_misses" in payload
-
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "loadtest",
-                    "--benchmark",
-                    "tpcc",
-                    "--queries",
-                    "120",
-                    "--requests",
-                    "10",
-                    "--shards",
-                    "0",
-                ]
-            )
 
     def test_loadtest_with_saved_model(self, tmp_path, capsys):
         model_path = tmp_path / "model.pkl"

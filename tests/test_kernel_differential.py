@@ -1,5 +1,5 @@
 """Differential testing: PipelineKernel vs the naive-loop oracle, and the
-same random traces replayed through the two real serving fronts.
+same random traces replayed through the real serving front.
 
 Two layers of evidence that the serving pipeline does what its spec says:
 
@@ -11,8 +11,8 @@ Two layers of evidence that the serving pipeline does what its spec says:
   action lists** after every event and identical counters (batcher, cache,
   queue depths, wake-ups) as a cross-checked invariant.  The two
   implementations share only the event/action dataclasses.
-* ``test_trace_replay_*`` — random request traces replayed through the
-  single-server and sharded fronts (real clocks, real locks), asserting
+* ``test_trace_replay_*`` — random request traces replayed through a
+  real :class:`PredictionServer` (real clocks, real locks), asserting
   every delivered value matches the naive one-call-at-a-time loop and the
   deadline/telemetry accounting invariants hold.
 
@@ -39,8 +39,7 @@ from oracle import (
 
 from repro.api import CachePolicy, PredictionRequest
 from repro.exceptions import DeadlineExceededError
-from repro.registry import ShardedModelRegistry
-from repro.serving import PredictionServer, ServerConfig, ShardedPredictionServer
+from repro.serving import PredictionServer, ServerConfig
 from repro.serving.kernel import Complete, Fail, FlushBatch, PipelineKernel, Shed
 
 POOL = make_lookup_pool(5)
@@ -433,15 +432,7 @@ class TestSchedulingFairnessProperties:
         assert sorted(terminal) == submitted
 
 
-# -- the same randomized traffic, through the real fronts ------------------------------
-
-
-def _make_front(kind, model, config):
-    if kind == "thread":
-        return PredictionServer(model, config=config)
-    registry = ShardedModelRegistry(n_shards=2)
-    registry.register_replicated("default", model)
-    return ShardedPredictionServer(registry, config=config)
+# -- the same randomized traffic, through the real front -------------------------------
 
 
 trace_entries = st.tuples(
@@ -452,9 +443,9 @@ trace_entries = st.tuples(
 
 
 class TestTraceReplayOnRealFronts:
-    """Random traces through the single and the sharded server: oracle
-    answers, sane deadline accounting.  Capped below the profile budget:
-    every example spins up two real fronts."""
+    """Random traces through a real server: oracle answers, sane deadline
+    accounting.  Capped below the profile budget: every example spins up a
+    real server."""
 
     @settings(max_examples=8)
     @given(
@@ -466,46 +457,45 @@ class TestTraceReplayOnRealFronts:
         expected = LookupPredictor()
         config = ServerConfig(max_batch_size=max_batch, max_wait_s=0.001)
         n_expired = sum(1 for _, kind, _ in trace if kind == "expired")
-        for front in ("thread", "sharded"):
-            with _make_front(front, LookupPredictor(), config) as server:
-                futures = [
-                    (
-                        idx,
-                        kind,
-                        bypass,
-                        server.submit_request(
-                            PredictionRequest.of(
-                                POOL[idx],
-                                deadline_s=deadlines[kind],
-                                cache_policy=(
-                                    CachePolicy.BYPASS if bypass else CachePolicy.DEFAULT
-                                ),
-                            )
-                        ),
-                    )
-                    for idx, kind, bypass in trace
-                ]
-                raised = 0
-                for idx, kind, bypass, future in futures:
-                    try:
-                        result = future.result(timeout=10.0)
-                    except DeadlineExceededError:
-                        raised += 1
-                        # Only a genuinely expirable budget may be shed...
-                        assert kind == "expired", front
-                    else:
-                        # ... and every delivered answer is the naive-loop
-                        # oracle's, whatever path served it.
-                        assert result.memory_mb == expected.predict_workload(POOL[idx]), front
-                        if kind == "expired":
-                            # Delivered late: only possible via the cache /
-                            # coalescing tiers, never for a BYPASS request.
-                            assert not bypass, front
-                report = server.snapshot()
-            assert report.n_errors == 0, front
-            # Sheds can never exceed the expirable population, and every
-            # shed is also a deadline miss (raised errors are sheds, and
-            # late deliveries only add further misses).
-            assert report.shed_requests <= n_expired, front
-            assert report.shed_requests == raised, front
-            assert report.deadline_misses >= report.shed_requests, front
+        with PredictionServer(LookupPredictor(), config=config) as server:
+            futures = [
+                (
+                    idx,
+                    kind,
+                    bypass,
+                    server.submit_request(
+                        PredictionRequest.of(
+                            POOL[idx],
+                            deadline_s=deadlines[kind],
+                            cache_policy=(
+                                CachePolicy.BYPASS if bypass else CachePolicy.DEFAULT
+                            ),
+                        )
+                    ),
+                )
+                for idx, kind, bypass in trace
+            ]
+            raised = 0
+            for idx, kind, bypass, future in futures:
+                try:
+                    result = future.result(timeout=10.0)
+                except DeadlineExceededError:
+                    raised += 1
+                    # Only a genuinely expirable budget may be shed...
+                    assert kind == "expired"
+                else:
+                    # ... and every delivered answer is the naive-loop
+                    # oracle's, whatever path served it.
+                    assert result.memory_mb == expected.predict_workload(POOL[idx])
+                    if kind == "expired":
+                        # Delivered late: only possible via the cache /
+                        # coalescing tiers, never for a BYPASS request.
+                        assert not bypass
+            report = server.snapshot()
+        assert report.n_errors == 0
+        # Sheds can never exceed the expirable population, and every
+        # shed is also a deadline miss (raised errors are sheds, and
+        # late deliveries only add further misses).
+        assert report.shed_requests <= n_expired
+        assert report.shed_requests == raised
+        assert report.deadline_misses >= report.shed_requests

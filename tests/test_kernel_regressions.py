@@ -31,20 +31,16 @@ from oracle import make_lookup_pool
 
 from repro.api import CachePolicy, PredictionRequest
 from repro.exceptions import DeadlineExceededError
-from repro.registry import ModelRegistry, ShardedModelRegistry
-from repro.serving import PredictionServer, ServerConfig, ShardedPredictionServer
+from repro.registry import ModelRegistry
+from repro.serving import PredictionServer, ServerConfig
 from repro.serving.kernel import FlushBatch, PipelineKernel
 
 POOL = make_lookup_pool(4)
-FRONTS = ["thread", "sharded"]
+FRONTS = ["thread"]
 
 
 def make_front(kind, model, config):
-    if kind == "thread":
-        return PredictionServer(model, config=config)
-    registry = ShardedModelRegistry(n_shards=2)
-    registry.register_replicated("default", model)
-    return ShardedPredictionServer(registry, config=config)
+    return PredictionServer(model, config=config)
 
 
 def wait_until(predicate, timeout_s=5.0):
@@ -174,8 +170,7 @@ def test_hot_swap_mid_batch_gates_stale_write_back():
 
     Invalidation at swap time is not enough: a batch already executing on
     the old model completes *after* the invalidation, and without generation
-    gating its stale answer would repopulate the fresh cache.  (The sharded
-    front delegates to one such server per shard.)
+    gating its stale answer would repopulate the fresh cache.
     """
     stale = GatePredictor(value=1.0)
     registry = ModelRegistry()

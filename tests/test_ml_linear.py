@@ -73,3 +73,17 @@ class TestRidge:
 
     def test_clone_preserves_alpha(self):
         assert Ridge(alpha=3.3).clone().alpha == 3.3
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("model_class", [LinearRegression, Ridge])
+def test_prediction_is_independent_of_the_batch(model_class, order):
+    """A row's prediction is bit-identical alone and inside a large batch."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(512, 37)) * rng.uniform(0.1, 100.0, size=37)
+    y = X @ rng.normal(size=37) + 3.0
+    model = model_class().fit(X, y)
+    X = np.asarray(X, order=order)
+    batch = model.predict(X)
+    alone = np.array([model.predict(X[i : i + 1])[0] for i in range(len(X))])
+    assert np.array_equal(alone, batch)

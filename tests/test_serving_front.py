@@ -1,16 +1,14 @@
 """Unit coverage for :mod:`repro.serving.front` — the shared facade layer.
 
-The serving fronts (single and sharded) were always exercised end-to-end,
-which leaves the shared machinery they inherit — the
-:class:`~repro.serving.front.ServingFrontBase` protocol facade, its
-coroutine surface, and the deadline-budget helpers — covered only
-incidentally.  These tests pin that layer directly, against a minimal
-synchronous front double, so a facade regression is attributed to the
-facade rather than to whichever front happened to trip over it first.
-They also pin :class:`~repro.serving.server.PredictionServer`
-construction, and run the coroutine surface (``predict_async`` /
-``predict_batch_async`` from a caller-owned event loop) on both real
-fronts.
+The serving front was always exercised end-to-end, which leaves the
+machinery it inherits — the :class:`~repro.serving.front.ServingFrontBase`
+protocol facade, its coroutine surface, and the deadline-budget helpers —
+covered only incidentally.  These tests pin that layer directly, against a
+minimal synchronous front double, so a facade regression is attributed to
+the facade rather than to the driver beneath it.  They also pin
+:class:`~repro.serving.server.PredictionServer` construction, and run the
+coroutine surface (``predict_async`` / ``predict_batch_async`` from a
+caller-owned event loop) on the real server.
 """
 
 import asyncio
@@ -26,8 +24,8 @@ from repro.api import PredictionRequest, PredictionResult
 from repro.core.features import FeatureCacheStats
 from repro.core.workload import Workload
 from repro.exceptions import DeadlineExceededError, ServingError, UnknownModelError
-from repro.registry import ModelRegistry, ShardedModelRegistry
-from repro.serving import PredictionServer, ShardedPredictionServer
+from repro.registry import ModelRegistry
+from repro.serving import PredictionServer
 from repro.serving.front import (
     DEFAULT_MODEL_NAME,
     ServingFrontBase,
@@ -105,14 +103,14 @@ class SyncFront(ServingFrontBase):
         self.submitted: list[Workload] = []
         self.closed = False
 
-    def submit(self, queries, *, signature=None) -> "Future[float]":
+    def submit(self, queries) -> "Future[float]":
         workload = self._as_workload(queries)
         self.submitted.append(workload)
         future: "Future[float]" = Future()
         future.set_result(self.model.predict_workload(workload))
         return future
 
-    def submit_request(self, request, *, signature=None) -> "Future[PredictionResult]":
+    def submit_request(self, request) -> "Future[PredictionResult]":
         self.submitted.append(request.workload)
         future: "Future[PredictionResult]" = Future()
         future.set_result(
@@ -225,17 +223,6 @@ class TestPredictionServerConstruction:
         with pytest.raises(UnknownModelError):
             PredictionServer(registry, model_name="nope")
 
-    def test_external_telemetry_instance_is_adopted(self):
-        telemetry = ServingTelemetry()
-        with PredictionServer(ConstantModel(1.0), telemetry=telemetry) as one:
-            assert one.telemetry is telemetry
-            one.predict(POOL[:3])
-        with PredictionServer(ConstantModel(2.0), telemetry=telemetry) as two:
-            two.predict(POOL[3:6])
-        assert telemetry.snapshot().n_requests == 6
-        with PredictionServer(ConstantModel(1.0)) as own:
-            assert isinstance(own.telemetry, ServingTelemetry)
-
     def test_predict_batch_resolves_the_active_model_per_batch(self):
         """A promotion takes effect on the next batch, no restart needed."""
         registry = ModelRegistry()
@@ -261,49 +248,24 @@ class TestPredictionServerConstruction:
             assert plain._feature_cache_flag() is False
 
 
-# -- the coroutine surface on both real fronts -----------------------------------------
+# -- the coroutine surface on the real server ------------------------------------------
 
-FRONTS = ["single", "sharded"]
+FRONTS = ["single"]
 ASYNC_POOL = make_lookup_pool(24)
 
 
-def serve(kind, model, config=None):
-    """``(front, registry)`` serving ``model`` as ``"default"``.
-
-    ``"single"`` is one :class:`PredictionServer`; ``"sharded"`` is a
-    :class:`ShardedPredictionServer` over two replicated shards.
-    """
-    if kind == "single":
-        registry = ModelRegistry()
-        registry.register("default", model)
-        return PredictionServer(registry, config=config), registry
-    registry = ShardedModelRegistry(n_shards=2)
-    registry.register_replicated("default", model)
-    return ShardedPredictionServer(registry, config=config), registry
-
-
-def promote(registry, model) -> None:
-    if isinstance(registry, ShardedModelRegistry):
-        registry.register_replicated("default", model, promote=True)
-    else:
-        registry.register("default", model, promote=True)
-
-
-def same_worker(server, n):
-    """``n`` pool workloads that queue behind one model worker."""
-    if not isinstance(server, ShardedPredictionServer):
-        return ASYNC_POOL[:n]
-    target = server.route_request(ASYNC_POOL[0])
-    picked = [w for w in ASYNC_POOL if server.route_request(w) == target][:n]
-    assert len(picked) == n
-    return picked
+def serve(model, config=None):
+    """``(server, registry)``: one :class:`PredictionServer` serving ``model``."""
+    registry = ModelRegistry()
+    registry.register("default", model)
+    return PredictionServer(registry, config=config), registry
 
 
 @pytest.mark.parametrize("kind", FRONTS)
 class TestCoroutineSurface:
     def test_predict_async_from_a_caller_loop(self, kind):
         async def drive():
-            server, _ = serve(kind, ConstantModel(42.0))
+            server, _ = serve(ConstantModel(42.0))
             with server:
                 result = await server.predict_async(PredictionRequest.of(ASYNC_POOL[0]))
                 repeat = await server.predict_async(PredictionRequest.of(ASYNC_POOL[0]))
@@ -318,7 +280,7 @@ class TestCoroutineSurface:
         config = ServerConfig(max_batch_size=32, max_wait_s=0.05)
 
         async def drive():
-            server, _ = serve(kind, predictor, config)
+            server, _ = serve(predictor, config)
             with server:
                 requests = [PredictionRequest.of(w) for w in ASYNC_POOL[:8]]
                 return await server.predict_batch_async(requests)
@@ -330,7 +292,7 @@ class TestCoroutineSurface:
 
     def test_concurrent_tasks_share_the_server(self, kind):
         async def drive():
-            server, _ = serve(kind, ConstantModel(7.0))
+            server, _ = serve(ConstantModel(7.0))
             with server:
                 tasks = [
                     asyncio.create_task(server.predict_async(PredictionRequest.of(w)))
@@ -353,14 +315,14 @@ class TestCoroutineSurface:
         config = ServerConfig(max_wait_s=0.0)
 
         async def drive():
-            server, registry = serve(kind, slow, config)
+            server, registry = serve(slow, config)
             with server:
                 with pytest.raises(ServingError, match="deadline"):
                     await server.predict_async(
                         PredictionRequest.of(ASYNC_POOL[0], deadline_s=0.01)
                     )
                 await asyncio.sleep(0.5)  # let the orphaned batch finish
-                promote(registry, ConstantModel(99.0))
+                registry.register("default", ConstantModel(99.0), promote=True)
                 result = await server.predict_async(PredictionRequest.of(ASYNC_POOL[0]))
                 return result.memory_mb
 
@@ -371,7 +333,7 @@ class TestCoroutineSurface:
         config = ServerConfig(enable_cache=False, max_wait_s=0.0)
 
         async def drive():
-            server, _ = serve(kind, predictor, config)
+            server, _ = serve(predictor, config)
             with server:
                 await server.predict_async(
                     PredictionRequest.of(ASYNC_POOL[0], deadline_s=0.01)
@@ -386,8 +348,8 @@ class TestCoroutineSurface:
         future never warns 'exception was never retrieved'."""
         predictor = CountingPredictor(delay_s=0.3)
         config = ServerConfig(max_wait_s=0.0)
-        server, _ = serve(kind, predictor, config)
-        blocker_workload, doomed_workload = same_worker(server, 2)
+        server, _ = serve(predictor, config)
+        blocker_workload, doomed_workload = ASYNC_POOL[:2]
 
         async def drive():
             blocker = asyncio.wrap_future(server.submit(blocker_workload))
@@ -413,10 +375,10 @@ class TestCoroutineSurface:
         requests before it in the batch loop."""
         predictor = CountingPredictor(delay_s=0.25)
         config = ServerConfig(max_batch_size=1, max_wait_s=0.0, enable_cache=False)
-        server, _ = serve(kind, predictor, config)
+        server, _ = serve(predictor, config)
 
         async def drive():
-            requests = [PredictionRequest.of(w, deadline_s=0.4) for w in same_worker(server, 3)]
+            requests = [PredictionRequest.of(w, deadline_s=0.4) for w in ASYNC_POOL[:3]]
             await server.predict_batch_async(requests)
 
         with server:

@@ -28,13 +28,12 @@ from repro.exceptions import (
     ServingError,
     UnknownModelError,
 )
-from repro.registry import ModelRegistry, ShardedModelRegistry
+from repro.registry import ModelRegistry
 from repro.serving import (
     GatewayClient,
     GatewayConfig,
     HttpGateway,
     PredictionServer,
-    ShardedPredictionServer,
     TelemetryReport,
 )
 from repro.serving.http.schemas import request_to_wire
@@ -337,12 +336,6 @@ class TestAdminAndClient:
                     assert client.batcher_stats() is None
 
 
-def _two_shard_server(model):
-    registry = ShardedModelRegistry(n_shards=2)
-    registry.register_replicated("default", model)
-    return ShardedPredictionServer(registry)
-
-
 class TestEndToEndParity:
     @pytest.fixture(scope="class")
     def model(self, tpcds_small):
@@ -352,10 +345,7 @@ class TestEndToEndParity:
         model.fit(tpcds_small.train_records)
         return model
 
-    @pytest.mark.parametrize("backend_cls", [PredictionServer, _two_shard_server])
-    def test_gateway_answers_are_bit_identical_to_in_process(
-        self, model, workloads, backend_cls
-    ):
+    def test_gateway_answers_are_bit_identical_to_in_process(self, model, workloads):
         # The same request stream (with repeats, so the cache participates)
         # through two fresh servers of the same model: once in-process, once
         # over the wire.  Floats must match bit-for-bit — JSON round-trips
@@ -366,10 +356,10 @@ class TestEndToEndParity:
             for i, workload in enumerate(stream)
         ]
 
-        with backend_cls(model) as reference:
+        with PredictionServer(model) as reference:
             expected = [reference.predict(request) for request in requests]
 
-        with backend_cls(model) as backend:
+        with PredictionServer(model) as backend:
             with HttpGateway(backend, config=GatewayConfig(port=0)) as gateway:
                 with GatewayClient(gateway.url) as client:
                     got = [client.predict(request) for request in requests]

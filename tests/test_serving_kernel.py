@@ -15,6 +15,7 @@ from repro.serving.cache import workload_signature
 from repro.serving.kernel import (
     SHED_MESSAGES,
     BatchDone,
+    BatcherStats,
     BatchFailed,
     CacheInvalidate,
     CacheWrite,
@@ -446,6 +447,11 @@ class TestHelpers:
         shed = one(kernel.submit(5, POOL[4], now=20.0, priority=1), Shed)
         assert (shed.rid, shed.stage, shed.reason) == (3, "queue", "priority_evict")
         assert [entry.rid for entry in kernel._pending] == [1, 5]
+
+    def test_mean_batch_size_counts_executed_requests_only(self):
+        stats = BatcherStats(17, 6, 1, 5, 0, 5, shed_requests=5)
+        assert stats.mean_batch_size == pytest.approx((17 - 5) / 6)
+        assert BatcherStats(0, 0, 0, 0, 0, 0).mean_batch_size == 0.0
 
     def test_shed_messages_cover_every_stage_and_reason(self):
         assert set(SHED_MESSAGES) == {

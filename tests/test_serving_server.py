@@ -46,7 +46,8 @@ class TestPredict:
         expected = model.predict(workload_pool[:8])
         with PredictionServer(model) as server:
             served = server.predict(workload_pool[:8])
-        np.testing.assert_allclose(served, expected, rtol=1e-9)
+        # Bit for bit: a served answer must not depend on its micro-batch.
+        assert np.array_equal(served, expected)
 
     def test_predict_stream_preserves_order(self, workload_pool):
         predictor = CountingPredictor()
@@ -222,6 +223,29 @@ class TestDeadlines:
         assert report.shed_requests == 1
         assert report.deadline_misses == 1
         assert report.n_errors == 0  # shedding is not a server failure
+
+    def test_mixed_live_and_expired_requests_are_counted_exactly(self, workload_pool):
+        predictor = CountingPredictor()
+        with PredictionServer(predictor) as server:
+            live = [
+                server.submit_request(PredictionRequest.of(w, deadline_s=30.0))
+                for w in workload_pool[:6]
+            ]
+            doomed = [
+                server.submit_request(
+                    PredictionRequest.of(w, deadline_s=1e-9, cache_policy=CachePolicy.BYPASS)
+                )
+                for w in workload_pool[6:12]
+            ]
+            for future in live:
+                assert future.result(timeout=5.0).memory_mb == predictor.value
+            for future in doomed:
+                with pytest.raises(DeadlineExceededError):
+                    future.result(timeout=5.0)
+            report = server.snapshot()
+        assert report.shed_requests == 6
+        assert report.deadline_misses == 6
+        assert report.n_errors == 0
 
     def test_generous_deadline_answers_normally(self, workload_pool):
         predictor = CountingPredictor()

@@ -5,7 +5,7 @@ mixes, tenants) plus the integration surface: strict config parsing with
 actionable errors, hypothesis properties of the arrival samplers (seeded
 determinism, monotonicity, empirical mean rate), bit-identical compilation,
 and the end-to-end acceptance check that the same scenario produces the
-same per-tenant report counters on the single and the sharded server.
+same per-tenant report counters on every run of the server.
 """
 
 from pathlib import Path
@@ -18,13 +18,11 @@ from hypothesis import strategies as st
 from repro.api import CachePolicy
 from repro.exceptions import InvalidParameterError, ScenarioError
 from repro.integration.predictors import ConstantMemoryPredictor
-from repro.registry import ShardedModelRegistry
 from repro.serving import (
     LoadGenerator,
     PredictionServer,
     ServerConfig,
     ServingTelemetry,
-    ShardedPredictionServer,
     TelemetryReport,
     TenantReport,
 )
@@ -432,20 +430,10 @@ class TestTenantTelemetry:
 # -- end-to-end determinism (acceptance) -----------------------------------------------
 
 
-def make_server(backend: str, config: ServerConfig):
-    """A single ``"thread"`` server or a 2-shard ``"sharded"`` front."""
-    model = ConstantMemoryPredictor(32.0)
-    if backend == "thread":
-        return PredictionServer(model, config=config)
-    registry = ShardedModelRegistry(n_shards=2)
-    registry.register_replicated("default", model)
-    return ShardedPredictionServer(registry, config=config)
-
-
-def run_scenario(compiled, backend: str):
+def run_scenario(compiled):
     """Drive one compiled scenario on a fresh tiny server; return the report."""
     config = ServerConfig(max_batch_size=16, max_wait_s=0.002)
-    with make_server(backend, config) as server:
+    with PredictionServer(ConstantMemoryPredictor(32.0), config=config) as server:
         return LoadGenerator.from_scenario(server, compiled).run()
 
 
@@ -461,29 +449,26 @@ class TestEndToEndDeterminism:
 
     Deadlines in ``small_spec`` are generous (or absent), so the counter
     values are wall-clock independent: no misses, no sheds, every scheduled
-    request completes — on the single and the sharded server alike.
+    request completes.
     """
 
     @pytest.fixture(scope="class")
     def compiled(self):
         return compile_scenario(small_spec())
 
-    @pytest.mark.parametrize("backend", ["thread", "sharded"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_counters_reproducible_per_backend(self, compiled, backend):
-        first = run_scenario(compiled, backend)
-        second = run_scenario(compiled, backend)
+        first = run_scenario(compiled)
+        second = run_scenario(compiled)
         assert counters(first) == counters(second)
         assert first.n_errors == second.n_errors == 0
         assert first.shed_requests == second.shed_requests == 0
 
-    def test_backends_agree(self, compiled):
-        thread = run_scenario(compiled, "thread")
-        sharded = run_scenario(compiled, "sharded")
+    def test_counters_match_the_schedule(self, compiled):
         expected = {
             name: (count, 0, 0, 0) for name, count in compiled.tenant_counts().items()
         }
-        assert counters(thread) == expected
-        assert counters(sharded) == expected
+        assert counters(run_scenario(compiled)) == expected
 
     def test_stream_identical_across_compilations(self):
         spec = small_spec()
@@ -492,7 +477,7 @@ class TestEndToEndDeterminism:
         )
 
     def test_report_carries_scenario_provenance(self, compiled):
-        report = run_scenario(compiled, "thread")
+        report = run_scenario(compiled)
         payload = report.to_dict()
         assert payload["scenario"] == "unit"
         assert payload["seed"] == compiled.seed

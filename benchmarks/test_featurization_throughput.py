@@ -201,7 +201,7 @@ def test_admission_and_scheduler_accept_any_predictor(benchmark):
     cached_schedule = RoundScheduler(cached, pool_mb).schedule(window)
 
     def _served():
-        config = ServerConfig(max_batch_size=64, max_wait_s=0.002)
+        config = ServerConfig(max_batch_size=64)
         with PredictionServer(model, config=config) as server:
             admission = AdmissionController(server, pool_mb).run(window)
             schedule = RoundScheduler(server, pool_mb).schedule(window)

@@ -15,7 +15,6 @@ of the per-pass ratios.
 
 import dataclasses
 import gc
-import heapq
 import threading
 import time
 from collections import Counter
@@ -36,7 +35,6 @@ from repro.serving.kernel import (
     FlushBatch,
     PipelineKernel,
     Shed,
-    flush_priority,
     split_expired,
 )
 from repro.workloads.generator import generate_dataset
@@ -73,7 +71,7 @@ def _setup():
 
 
 def _served_qps(model, requests) -> tuple[float, PredictionServer]:
-    config = ServerConfig(max_batch_size=64, max_wait_s=0.002)
+    config = ServerConfig(max_batch_size=64)
     with PredictionServer(model, config=config) as server:
         # Start from a collected heap: a full collection of earlier tests'
         # garbage takes 0.2-0.4 s, longer than this whole timed run.
@@ -165,7 +163,7 @@ def test_deadline_traffic_sheds_expired_and_preserves_answers(benchmark):
     doomed_signatures = {workload_signature(w) for w in doomed_pool}
     assert not doomed_signatures & {workload_signature(w) for w in requests}
 
-    config = ServerConfig(max_batch_size=64, max_wait_s=0.002)
+    config = ServerConfig(max_batch_size=64)
     recorder = _RecordingModel(model)
     outcome: dict = {}
 
@@ -248,7 +246,7 @@ def test_flash_crowd_scenario_sheds_during_spike(benchmark):
 
     compiled = compile_scenario(load_scenario(SCENARIOS / "flash_crowd.toml"))
     model = _scenario_model(compiled)
-    config = ServerConfig(max_batch_size=32, max_wait_s=0.002)
+    config = ServerConfig(max_batch_size=32)
 
     def _run():
         with PredictionServer(model, config=config) as server:
@@ -286,15 +284,15 @@ def _replay_through_kernel(compiled, config, service_s):
     """Replay a compiled schedule through a bare :class:`PipelineKernel`.
 
     Time is virtual: each request arrives at its compiled offset, and one
-    model worker (as in the serving front) runs each flushed batch for a
-    fixed ``service_s``, taking ready batches in ``flush_priority`` order.
-    The run is deterministic.  Returns per-tenant ``Counter``s of
+    model worker (as in the serving front) starts each flushed batch as
+    soon as the kernel cuts it and runs it for a fixed ``service_s``.  The
+    run is deterministic.  Returns per-tenant ``Counter``s of
     ``answered`` / ``late`` / ``shed`` / ``errors``.
     """
     kernel = PipelineKernel(config)
     schedule = compiled.schedule
     counts = {tenant: Counter() for tenant in compiled.tenant_counts()}
-    ready: list[tuple[int, int, FlushBatch]] = []
+    flushed: list[FlushBatch] = []  # the kernel's one outstanding flush
     running: tuple[FlushBatch, float] | None = None
 
     def apply(actions):
@@ -307,25 +305,23 @@ def _replay_through_kernel(compiled, config, service_s):
             elif isinstance(action, Fail):
                 counts[schedule[action.rid].tenant]["errors"] += 1
             elif isinstance(action, FlushBatch):
-                heapq.heappush(ready, (-flush_priority(action), action.batch_id, action))
+                flushed.append(action)
 
     now, i = 0.0, 0
-    while i < len(schedule) or ready or running is not None or not kernel.idle():
-        if running is None and ready:
-            running = (heapq.heappop(ready)[2], now)
-        due = [kernel.next_wakeup()]
+    while i < len(schedule) or flushed or running is not None:
+        if running is None and flushed:
+            running = (flushed.pop(), now)
+        due = [] if running is None else [running[1] + service_s]
         if i < len(schedule):
             due.append(schedule[i].at_s)
-        if running is not None:
-            due.append(running[1] + service_s)
-        now = max(now, min(t for t in due if t is not None))
+        now = max(now, min(due))
         if running is not None and running[1] + service_s <= now:
             flush, started = running
             running = None
             live, _ = split_expired(flush.entries, started)
             values = [entry.workload.actual_memory_mb for entry in live]
             apply(kernel.batch_done(flush.batch_id, started, values, now))
-        elif i < len(schedule) and schedule[i].at_s <= now:
+        else:
             item = schedule[i]
             apply(
                 kernel.submit(
@@ -339,8 +335,7 @@ def _replay_through_kernel(compiled, config, service_s):
                 )
             )
             i += 1
-        else:
-            apply(kernel.tick(now))
+    assert kernel.idle()
     return counts
 
 
@@ -368,7 +363,6 @@ def test_two_tenant_contention_keeps_steady_tenant_clean(benchmark):
     model = _scenario_model(compiled)
     config = ServerConfig(
         max_batch_size=32,
-        max_wait_s=0.002,
         max_queue_depth=128,
         tenant_weights=compiled.spec.tenant_weights(),
         tenant_max_inflight=compiled.spec.tenant_max_inflight(),

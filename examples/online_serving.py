@@ -55,7 +55,7 @@ def main() -> None:
     registry.register("tpcds", v2)  # version 2 registered, still passive
     print(f"  registry: {registry.describe()['tpcds']['active_version']=}")
 
-    config = ServerConfig(max_batch_size=32, max_wait_s=0.002, cache_entries=1024)
+    config = ServerConfig(max_batch_size=32, cache_entries=1024)
     requests = replay_requests_from_workloads(
         make_workloads(dataset.all_records, BATCH_SIZE, seed=SEED),
         N_REQUESTS,

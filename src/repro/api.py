@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Protocol, Sequence, runtime_checkable
@@ -84,7 +85,8 @@ class PredictionRequest:
         Caller-meaningful identifier echoed on the result; generated
         (``req-<n>``) when omitted.
     deadline_s:
-        Optional per-request deadline in seconds, counted from admission.
+        Optional per-request deadline in seconds (finite, > 0), counted
+        from admission.
         Serving-backed predictors enforce it end-to-end: a request whose
         budget expires is shed from the micro-batch queue *before* model
         execution (failing fast with
@@ -121,8 +123,8 @@ class PredictionRequest:
                 "PredictionRequest.workload must be a Workload; "
                 "use PredictionRequest.of(...) to coerce query sequences"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0.0:
-            raise InvalidParameterError("deadline_s must be > 0 (or None)")
+        if self.deadline_s is not None and not 0.0 < self.deadline_s < math.inf:
+            raise InvalidParameterError("deadline_s must be finite and > 0 (or None)")
         if self.tenant is not None and not self.tenant:
             raise InvalidParameterError("tenant must be a non-empty string (or None)")
         if not isinstance(self.priority, int) or isinstance(self.priority, bool):

@@ -91,12 +91,10 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
         help="fraction of requests re-issuing an already-seen workload",
     )
     parser.add_argument("--seed", type=int, default=7, help="traffic and training seed")
-    parser.add_argument("--max-batch", type=int, default=32, help="micro-batch flush size")
     parser.add_argument(
-        "--max-wait-ms", type=float, default=2.0, help="micro-batch flush deadline (ms)"
+        "--max-batch", type=int, default=32, help="largest micro-batch (1 = unbatched)"
     )
     parser.add_argument("--no-cache", action="store_true", help="disable the prediction cache")
-    parser.add_argument("--no-batching", action="store_true", help="disable micro-batching")
     parser.add_argument(
         "--max-queue-depth",
         type=int,
@@ -365,9 +363,7 @@ def _make_server(
     )
     config = ServerConfig(
         max_batch_size=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1e3,
         enable_cache=not args.no_cache,
-        enable_batching=not args.no_batching,
         max_queue_depth=args.max_queue_depth,
         tenant_weights=weights,
         tenant_max_inflight=caps,
@@ -415,8 +411,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     registry, server, requests = _serving_setup(args)
     print(
         f"serving model 'default' v{registry.active_version('default')} "
-        f"(cache={'on' if not args.no_cache else 'off'}, "
-        f"batching={'on' if not args.no_batching else 'off'})"
+        f"(cache={'on' if not args.no_cache else 'off'}, max batch {args.max_batch})"
     )
     print(f"replaying {len(requests)} requests at {args.qps:.0f} req/s ...\n")
     with server:

@@ -21,6 +21,7 @@ sorted SQL texts for ad-hoc queries.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -81,8 +82,8 @@ class LRUTTLCache:
     ) -> None:
         if max_entries < 1:
             raise InvalidParameterError("max_entries must be >= 1")
-        if ttl_s is not None and ttl_s <= 0.0:
-            raise InvalidParameterError("ttl_s must be > 0 (or None to disable expiry)")
+        if ttl_s is not None and not 0.0 < ttl_s < math.inf:
+            raise InvalidParameterError("ttl_s must be finite and > 0 (or None to disable expiry)")
         self.max_entries = int(max_entries)
         self.ttl_s = ttl_s
         self._clock = clock

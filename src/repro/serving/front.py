@@ -191,10 +191,6 @@ class ServingFrontBase:
         enforced end-to-end (shed from the batch queue once expired) and
         bounds this wait, raising
         :class:`~repro.exceptions.DeadlineExceededError` on expiry.
-
-        With ``enable_batching=False`` there is no worker: the model call
-        runs inline on the submitting thread, which here is the caller's
-        event-loop thread, so the loop is blocked for that call.
         """
         results = await self.predict_batch_async([request])
         return results[0]

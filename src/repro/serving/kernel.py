@@ -13,7 +13,7 @@ Events (what the world tells the kernel)
 ----------------------------------------
 ========================  ======================================================
 :class:`Submit`           One request arrives: workload, deadline, cache policy.
-:class:`Tick`             Time passed (a timer fired / a worker woke up).
+:class:`Tick`             Time passed (a worker woke up).
 :class:`SyncVersion`      The registry resolved this active model version.
 :class:`BatchDone`        A flushed batch finished; here are its values.
 :class:`BatchFailed`      A flushed batch raised; here is the error.
@@ -42,19 +42,21 @@ clocks, locks and futures, and stays thin: feed events, perform actions.
 
 Batching discipline
 -------------------
-At most ``max_concurrent_batches`` (default 1, matching the server's
-single model worker) flushed batches may be outstanding.  A due flush while
-the slot is busy stays pending — which is exactly how the server's
-worker-availability batching forms large batches under load — and is cut
-(EDF order, up to ``max_batch_size``) when :meth:`PipelineKernel.batch_done`
-frees the slot.  Expired pending requests are shed on *every* event before
-anything else, and re-checked against the batch's actual execution start
-(:func:`split_expired`), so expired work never reaches the model.
+Work-conserving, one model slot: the kernel cuts a batch (EDF order, up to
+``max_batch_size``) whenever the slot is free and work is pending, so a
+request that arrives at an idle kernel is flushed on its own ``Submit``.
+Requests that arrive while a batch executes queue behind it and are cut
+together when :meth:`PipelineKernel.batch_done` frees the slot — batches grow
+with the backlog, never by waiting on a timer.  Expired pending requests are
+shed on *every* event before anything else, and re-checked against the
+batch's actual execution start (:func:`split_expired`), so expired work
+never reaches the model.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Sequence, Union
@@ -86,7 +88,6 @@ __all__ = [
     "ObserveQueueDepth",
     "Action",
     "split_expired",
-    "flush_priority",
     "apply_actions",
     "SHED_MESSAGES",
 ]
@@ -149,13 +150,16 @@ class ServerConfig:
 
     Attributes
     ----------
-    max_batch_size / max_wait_s:
-        Micro-batching policy (flush on size / on window expiry).
+    max_batch_size:
+        Largest micro-batch the kernel cuts; ``1`` serves unbatched.
+    max_wait_s:
+        Accepted for compatibility and validated (finite, ``>= 0``), but
+        read by nothing: batching is work-conserving, so no request waits
+        on a timer for a batch to fill.
     cache_entries / cache_ttl_s:
         Prediction-cache capacity and optional time-to-live.
-    enable_cache / enable_batching:
-        Feature switches; with batching disabled every admitted request is
-        flushed immediately as a singleton batch (the naive baseline).
+    enable_cache:
+        Feature switch for the prediction cache and in-flight coalescing.
     stream_window:
         Maximum number of in-flight requests ``predict_stream`` keeps
         outstanding, which is what lets the batcher coalesce a stream.
@@ -177,11 +181,10 @@ class ServerConfig:
     """
 
     max_batch_size: int = 32
-    max_wait_s: float = 0.002
+    max_wait_s: float = 0.0
     cache_entries: int = 2048
     cache_ttl_s: float | None = None
     enable_cache: bool = True
-    enable_batching: bool = True
     stream_window: int = 64
     max_queue_depth: int | None = None
     tenant_weights: Any = None
@@ -193,12 +196,14 @@ class ServerConfig:
         # the kernel once traffic arrives.
         if self.max_batch_size < 1:
             raise InvalidParameterError("max_batch_size must be >= 1")
-        if self.max_wait_s < 0.0:
-            raise InvalidParameterError("max_wait_s must be >= 0")
+        if not math.isfinite(self.max_wait_s) or self.max_wait_s < 0.0:
+            raise InvalidParameterError("max_wait_s must be finite and >= 0")
         if self.cache_entries < 1:
             raise InvalidParameterError("cache_entries must be >= 1")
-        if self.cache_ttl_s is not None and self.cache_ttl_s <= 0.0:
-            raise InvalidParameterError("cache_ttl_s must be > 0 (or None to disable expiry)")
+        if self.cache_ttl_s is not None and not 0.0 < self.cache_ttl_s < math.inf:
+            raise InvalidParameterError(
+                "cache_ttl_s must be finite and > 0 (or None to disable expiry)"
+            )
         if self.stream_window < 1:
             raise InvalidParameterError("stream_window must be >= 1")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
@@ -259,7 +264,7 @@ class Submit:
 
 @dataclass(frozen=True)
 class Tick:
-    """Time passed: shed expired queued work and flush due batches."""
+    """Time passed: shed expired queued work (nothing ever waits on a timer)."""
 
     now: float
 
@@ -361,16 +366,12 @@ class BatchEntry:
     """One member of a flushed batch.
 
     The driver needs the workload (to call the model) and the expiry (to
-    re-partition with :func:`split_expired` at execution start);
-    ``priority`` lets it order *ready* batches with :func:`flush_priority`
-    so a high-priority batch never waits behind a backlog of low-priority
-    ones at the model-call worker.
+    re-partition with :func:`split_expired` at execution start).
     """
 
     rid: int
     workload: Workload
     deadline_at: float | None
-    priority: int = 0
 
 
 @dataclass(frozen=True)
@@ -381,6 +382,11 @@ class FlushBatch:
     The driver must re-check expiry at actual execution start with
     :func:`split_expired` and call the model only on the live entries —
     the kernel recomputes the identical partition from ``started_at``.
+
+    ``reason`` is ``"size"`` for a full batch, ``"close"`` for a smaller
+    cut after :class:`Close`, and ``"deadline"`` for a cut below
+    ``max_batch_size`` because the model slot freed.  At most one flushed
+    batch is outstanding at a time.
     """
 
     batch_id: int
@@ -455,18 +461,6 @@ def split_expired(entries: Iterable[Any], now: float) -> tuple[list[Any], list[A
         else:
             live.append(entry)
     return live, expired
-
-
-def flush_priority(flush: FlushBatch) -> int:
-    """Execution priority of a flushed batch: its best member's priority.
-
-    Drivers order *ready* batches by ``(-flush_priority(f), f.batch_id)``
-    at the model-call worker, so a freshly flushed high-priority batch
-    overtakes a backlog of lower-priority ones instead of queueing behind
-    it — with equal priorities everywhere, ``batch_id`` keeps the exact
-    FIFO execution order batches always had.
-    """
-    return max((entry.priority for entry in flush.entries), default=0)
 
 
 def apply_actions(
@@ -556,7 +550,6 @@ class _Entry:
     workload: Workload
     key: Hashable | None
     arrival: float
-    enqueued_at: float
     deadline_at: float | None
     generation: int
     tenant: str | None
@@ -597,16 +590,8 @@ class PipelineKernel:
     pass real ``time.monotonic()`` readings, tests pass a virtual clock.
     """
 
-    def __init__(
-        self,
-        config: ServerConfig | None = None,
-        *,
-        max_concurrent_batches: int = 1,
-    ) -> None:
-        if max_concurrent_batches < 1:
-            raise InvalidParameterError("max_concurrent_batches must be >= 1")
+    def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config or ServerConfig()
-        self._max_concurrent = max_concurrent_batches
         self._now = 0.0
         self._cache: LRUTTLCache | None = (
             LRUTTLCache(
@@ -619,7 +604,8 @@ class PipelineKernel:
         )
         self._inflight: dict[Hashable, _Entry] = {}
         self._pending: list[_Entry] = []
-        self._executing: dict[int, _Batch] = {}
+        # The one model slot: the flushed batch awaiting BatchDone/BatchFailed.
+        self._executing: _Batch | None = None
         self._batch_ids = itertools.count(1)
         self._seq = itertools.count()
         # Per-tenant accounting: admitted-but-unresolved requests (quota
@@ -737,8 +723,7 @@ class PipelineKernel:
             actions.append(Shed(rid, "admission", "queue_full"))
             return actions
         if (
-            self.config.enable_batching
-            and self.config.max_queue_depth is not None
+            self.config.max_queue_depth is not None
             and len(self._pending) >= self.config.max_queue_depth
         ):
             # Bounded queue: evict the scheduling-worst follower-free
@@ -765,7 +750,6 @@ class PipelineKernel:
             workload=workload,
             key=key,
             arrival=now,
-            enqueued_at=self._now,
             deadline_at=deadline_at,
             generation=self._generation,
             tenant=tenant,
@@ -777,19 +761,19 @@ class PipelineKernel:
         if self._cache is not None and deadline_at is None and key not in self._inflight:
             self._inflight[key] = entry
             entry.leads = True
-        if not self.config.enable_batching:
-            actions.extend(self._flush_now([entry], "size"))
-            return actions
         self._pending.append(entry)
         actions.append(ObserveQueueDepth(len(self._pending)))
         actions.extend(self._maybe_flush())
         return actions
 
     def tick(self, now: float) -> list[Action]:
-        """Advance time: shed expired queued work, flush due batches."""
-        actions = self._advance(now)
-        actions.extend(self._maybe_flush())
-        return actions
+        """Advance time: shed expired queued work.
+
+        Nothing else can be due: work only queues while the slot is busy,
+        and the ``BatchDone`` / ``BatchFailed`` that frees it cuts the next
+        batch.
+        """
+        return self._advance(now)
 
     def sync_version(self, version: Any, now: float) -> list[Action]:
         """Record the registry's active version; invalidate on a hot swap.
@@ -809,14 +793,11 @@ class PipelineKernel:
                 if self._cache is not None:
                     self._cache.clear()
                 self._inflight.clear()
-                for entry in self._pending:
+                executing = self._executing.entries if self._executing is not None else []
+                for entry in itertools.chain(self._pending, executing):
                     entry.leads = False
-                for batch in self._executing.values():
-                    for entry in batch.entries:
-                        entry.leads = False
                 actions.append(CacheInvalidate(self._generation))
             self._version = version
-        actions.extend(self._maybe_flush())
         return actions
 
     def batch_done(
@@ -859,34 +840,16 @@ class PipelineKernel:
         return actions
 
     def close(self, now: float) -> list[Action]:
-        """Start draining: every pending request is flushed (reason "close")."""
+        """Start draining: the batches cut from here on (as the slot frees)
+        carry reason ``"close"`` unless full."""
         self._closing = True
-        actions = self._advance(now)
-        actions.extend(self._maybe_flush())
-        return actions
+        return self._advance(now)
 
-    # -- scheduling helpers (for drivers) ---------------------------------------------
-
-    def next_wakeup(self) -> float | None:
-        """When the driver should tick next, or ``None`` for "no timer".
-
-        Only a pending, not-yet-due batch window needs a timer; everything
-        else (size flushes, clamps, sheds of work stuck behind a busy model
-        slot) happens on the events that cause it.
-        """
-        if not self._pending or not self.config.enable_batching:
-            return None
-        if len(self._executing) >= self._max_concurrent:
-            return None
-        if self._flush_due():
-            return self._now
-        return self._pending[0].enqueued_at + self.config.max_wait_s
+    # -- introspection ----------------------------------------------------------------
 
     def idle(self) -> bool:
         """True when nothing is queued or executing (drained)."""
-        return not self._pending and not self._executing
-
-    # -- introspection ----------------------------------------------------------------
+        return not self._pending and self._executing is None
 
     @property
     def generation(self) -> int:
@@ -908,8 +871,8 @@ class PipelineKernel:
         return len(self._pending)
 
     def executing_count(self) -> int:
-        """Flushed batches whose BatchDone/BatchFailed has not arrived yet."""
-        return len(self._executing)
+        """Flushed batches whose BatchDone/BatchFailed has not arrived yet (0 or 1)."""
+        return 0 if self._executing is None else 1
 
     def tenant_inflight(self) -> dict[str | None, int]:
         """Admitted-but-unresolved requests per tenant label (quota view)."""
@@ -1021,9 +984,10 @@ class PipelineKernel:
         """Retire a flushed batch: recompute the live/expired partition at
         execution start, shed the expired part, count the batch (live part
         only — an all-expired flush never reached the model)."""
-        batch = self._executing.pop(batch_id, None)
-        if batch is None:
+        batch = self._executing
+        if batch is None or batch.batch_id != batch_id:
             raise ServingError(f"unknown batch id {batch_id}")
+        self._executing = None
         live, expired = split_expired(batch.entries, started_at)
         for entry in expired:
             self._shed_entry(entry, "execution", actions)
@@ -1039,42 +1003,26 @@ class PipelineKernel:
             actions.append(ObserveBatch(len(live)))
         return live, expired
 
-    def _flush_due(self) -> bool:
-        """Should the pending queue be cut right now (capacity aside)?"""
-        if not self._pending:
-            return False
-        if self._closing:
-            return True
-        if len(self._pending) >= self.config.max_batch_size:
-            return True
-        window_end = self._pending[0].enqueued_at + self.config.max_wait_s
-        if self._now >= window_end:
-            return True
-        # Wait clamping: a pending deadline falls inside the coalescing
-        # window, so waiting any longer would burn its remaining budget in
-        # the queue — flush now.
-        return any(
-            entry.deadline_at is not None and entry.deadline_at < window_end
-            for entry in self._pending
-        )
-
     def _maybe_flush(self) -> list[Action]:
-        """Cut due batches while the execution slot(s) are free."""
-        actions: list[Action] = []
-        while (
-            self._pending
-            and len(self._executing) < self._max_concurrent
-            and self._flush_due()
-        ):
-            batch = self._cut_batch()
-            if len(batch) == self.config.max_batch_size:
-                reason = "size"
-            elif self._closing:
-                reason = "close"
-            else:
-                reason = "deadline"
-            actions.extend(self._flush_now(batch, reason))
-        return actions
+        """Cut one batch from the pending queue if the model slot is free."""
+        if not self._pending or self._executing is not None:
+            return []
+        entries = self._cut_batch()
+        if len(entries) == self.config.max_batch_size:
+            reason = "size"
+        elif self._closing:
+            reason = "close"
+        else:
+            reason = "deadline"
+        batch_id = next(self._batch_ids)
+        self._executing = _Batch(batch_id, entries, reason)
+        return [
+            FlushBatch(
+                batch_id,
+                tuple(BatchEntry(e.rid, e.workload, e.deadline_at) for e in entries),
+                reason,
+            )
+        ]
 
     def _cut_batch(self) -> list[_Entry]:
         """Select up to ``max_batch_size`` pending entries for one batch.
@@ -1116,17 +1064,3 @@ class PipelineKernel:
             self._tenant_pass[tenant] = start + STRIDE_SCALE // self.config.weight_of(tenant)
             self._vtime = start
         return batch
-
-    def _flush_now(self, entries: list[_Entry], reason: str) -> list[Action]:
-        batch_id = next(self._batch_ids)
-        self._executing[batch_id] = _Batch(batch_id, entries, reason)
-        return [
-            FlushBatch(
-                batch_id,
-                tuple(
-                    BatchEntry(entry.rid, entry.workload, entry.deadline_at, entry.priority)
-                    for entry in entries
-                ),
-                reason,
-            )
-        ]

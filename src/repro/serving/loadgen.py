@@ -19,6 +19,7 @@ benchmark trajectory (``BENCH_serving.json``).
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -189,8 +190,8 @@ class LoadGenerator:
             raise InvalidParameterError("qps must be > 0")
         if not requests:
             raise InvalidParameterError("cannot load-test with zero requests")
-        if deadline_s is not None and deadline_s <= 0.0:
-            raise InvalidParameterError("deadline_s must be > 0 (or None)")
+        if deadline_s is not None and not 0.0 < deadline_s < math.inf:
+            raise InvalidParameterError("deadline_s must be finite and > 0 (or None)")
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise InvalidParameterError("seed must be an integer (or None)")
         self.server = server

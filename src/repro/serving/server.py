@@ -11,12 +11,10 @@ real clocks, locks and futures:
 * callers submit under one lock, handing the kernel a ``Submit`` event and
   parking on a :class:`concurrent.futures.Future` the kernel's ``Complete``
   / ``Shed`` / ``Fail`` actions resolve;
-* one worker thread waits on a condition variable, ticking the kernel at
-  its requested wake-ups and executing ``FlushBatch`` actions (the batched
-  model call) off-lock;
-* with batching disabled the flush happens inline on the caller thread (the
-  naive baseline) — the kernel still coalesces identical concurrent
-  requests in flight.
+* one worker thread waits on a condition variable and executes the
+  kernel's ``FlushBatch`` actions (the batched model call) off-lock.  The
+  kernel has one model slot, so at most one flush is ever waiting for the
+  worker; requests that arrive while it runs form the next batch.
 
 The server natively satisfies the unified :class:`repro.api.Predictor`
 protocol (``submit_request`` / ``predict_batch`` answer typed
@@ -31,7 +29,6 @@ futures through :func:`asyncio.wrap_future`.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import threading
 import time
@@ -55,7 +52,6 @@ from repro.serving.kernel import (
     PipelineKernel,
     ServerConfig,
     apply_actions,
-    flush_priority,
     split_expired,
 )
 from repro.serving.telemetry import ServingTelemetry
@@ -105,38 +101,26 @@ class PredictionServer(ServingFrontBase):
         # with the waiter.  The kernel itself never sees tenants.
         self._tenants: dict[int, str] = {}
         self._ids = itertools.count(1)
-        # Ready-to-execute flushes, ordered highest-priority-first (FIFO by
-        # batch_id within a priority level) so a high-priority batch never
-        # waits behind a backlog of low-priority ones at the worker.
-        self._ready: list[tuple[int, int, FlushBatch]] = []
-        self._worker: threading.Thread | None = None
-        if self.config.enable_batching:
-            self._worker = threading.Thread(
-                target=self._run, name="serving-kernel-worker", daemon=True
-            )
-            self._worker.start()
+        # The kernel's one outstanding flush, until the worker takes it.
+        self._ready: FlushBatch | None = None
+        self._worker = threading.Thread(
+            target=self._run, name="serving-kernel-worker", daemon=True
+        )
+        self._worker.start()
 
     # -- action plumbing ----------------------------------------------------------------
 
-    def _collect(
-        self, actions: list[Action], inline: "list[FlushBatch] | None" = None
-    ) -> list[Action]:
+    def _collect(self, actions: list[Action]) -> list[Action]:
         """Route flush actions (under the lock), defer the rest for off-lock.
 
-        ``FlushBatch`` goes to the worker's ready queue — or, with batching
-        disabled, to ``inline`` for the caller thread to execute — and every
-        other action is returned for :meth:`_dispatch` outside the lock, so
-        future callbacks never run while the kernel lock is held.
+        ``FlushBatch`` is parked for the worker; every other action is
+        returned for :meth:`_dispatch` outside the lock, so future callbacks
+        never run while the kernel lock is held.
         """
         deferred: list[Action] = []
         for action in actions:
             if isinstance(action, FlushBatch):
-                if inline is not None:
-                    inline.append(action)
-                else:
-                    heapq.heappush(
-                        self._ready, (-flush_priority(action), action.batch_id, action)
-                    )
+                self._ready = action
             else:
                 deferred.append(action)
         return deferred
@@ -211,7 +195,6 @@ class PredictionServer(ServingFrontBase):
         if self._closed:
             raise ServingError("cannot submit to a closed PredictionServer")
         self._sync_version()
-        inline: list[FlushBatch] = []
         with self._work:
             rid = next(self._ids)
             future: "Future[tuple[float, bool]]" = Future()
@@ -227,25 +210,17 @@ class PredictionServer(ServingFrontBase):
                 tenant=tenant,
                 priority=priority,
             )
-            deferred = self._collect(
-                actions, inline=inline if not self.config.enable_batching else None
-            )
+            deferred = self._collect(actions)
             self._work.notify_all()
         self._dispatch(deferred)
-        for flush in inline:
-            # Batching disabled: the caller thread is the model worker.  The
-            # kernel has already registered any singleflight leadership, so
-            # identical concurrent submits from other threads coalesce onto
-            # this execution.
-            self._execute(flush)
         return future
 
     def submit(self, queries: Sequence[QueryRecord] | Workload) -> "Future[float]":
         """Asynchronously predict one workload's memory demand (MB).
 
         Cache hits resolve immediately; misses are handed to the kernel's
-        micro-batcher (or executed inline when batching is disabled).  The
-        returned future also feeds telemetry and populates the cache.
+        micro-batcher.  The returned future also feeds telemetry and
+        populates the cache.
         """
         inner = self._submit(self._as_workload(queries))
         outer: "Future[float]" = Future()
@@ -328,25 +303,21 @@ class PredictionServer(ServingFrontBase):
     # -- worker -------------------------------------------------------------------------
 
     def _run(self) -> None:
-        """Worker loop: tick the kernel at its wake-ups, execute its flushes."""
+        """Worker loop: tick the kernel on every wake-up, execute its flushes."""
         while True:
             deferred: list[Action] = []
             batch: FlushBatch | None = None
             with self._work:
                 while True:
                     deferred = self._collect(self._kernel.tick(time.monotonic()))
-                    if self._ready:
-                        batch = heapq.heappop(self._ready)[2]
+                    if self._ready is not None:
+                        batch, self._ready = self._ready, None
                         break
                     if deferred:
                         break
                     if self._closed and self._kernel.idle():
                         return
-                    wake_at = self._kernel.next_wakeup()
-                    timeout = (
-                        None if wake_at is None else max(wake_at - time.monotonic(), 0.0)
-                    )
-                    self._work.wait(timeout)
+                    self._work.wait()
             self._dispatch(deferred)
             if batch is not None:
                 self._execute(batch)
@@ -386,9 +357,7 @@ class PredictionServer(ServingFrontBase):
             deferred = self._collect(self._kernel.close(time.monotonic()))
             self._work.notify_all()
         self._dispatch(deferred)
-        if self._worker is not None:
-            self._worker.join()
-            self._worker = None
+        self._worker.join()
 
     # -- stats --------------------------------------------------------------------------
 
@@ -405,10 +374,8 @@ class PredictionServer(ServingFrontBase):
         """
         return _model_feature_cache_stats(self.registry.active(self.model_name))
 
-    def batcher_stats(self) -> BatcherStats | None:
-        """Micro-batcher counters, or ``None`` when batching is disabled."""
-        if not self.config.enable_batching:
-            return None
+    def batcher_stats(self) -> BatcherStats:
+        """Micro-batcher counters."""
         return self._kernel.batcher_stats()
 
     @property

@@ -111,11 +111,14 @@ class CountingPredictor:
 class GatedLookupPredictor(LookupPredictor):
     """:class:`LookupPredictor` whose *first* batch blocks until released.
 
-    Lets a test pile up flushed batches behind a busy model worker and
-    observe — via ``order`` — the sequence they actually execute in.
+    Lets a test hold the server's one model slot busy, pile requests up
+    behind it and observe — via ``order`` — the sequence they actually
+    execute in.  ``inner``, when given, answers instead of the lookup (its
+    errors propagate), so any predictor can be gated the same way.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, inner=None) -> None:
+        self.inner = inner
         self.started = threading.Event()
         self.release = threading.Event()
         self.order: list[float] = []
@@ -129,9 +132,17 @@ class GatedLookupPredictor(LookupPredictor):
         if first:
             self.started.set()
             assert self.release.wait(5.0), "gated model never released"
-        values = super().predict(workloads)
+        if self.inner is None:
+            values = super().predict(workloads)
+        else:
+            values = list(self.inner.predict(workloads))
         self.order.extend(values)
         return values
+
+    def predict_workload(self, workload) -> float:
+        if self.inner is None:
+            return super().predict_workload(workload)
+        return self.inner.predict_workload(workload)
 
 
 def make_lookup_pool(size: int = 6) -> list[Workload]:
@@ -200,9 +211,8 @@ class NaiveServingOracle:
     explicit loop over them.
     """
 
-    def __init__(self, config: ServerConfig | None = None, *, max_concurrent_batches: int = 1):
+    def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
-        self.max_concurrent = max_concurrent_batches
         self.now = 0.0
         self.closing = False
         self.version = None
@@ -365,8 +375,7 @@ class NaiveServingOracle:
                 actions.append(Shed(rid, "admission", "queue_full"))
                 return actions
         if (
-            self.config.enable_batching
-            and self.config.max_queue_depth is not None
+            self.config.max_queue_depth is not None
             and len(self.pending) >= self.config.max_queue_depth
         ):
             # Bounded queue: the scheduling-worst follower-free queued entry
@@ -397,7 +406,6 @@ class NaiveServingOracle:
             "workload": workload,
             "key": key,
             "arrival": now,
-            "enqueued_at": self.now,
             "deadline_at": deadline_at,
             "generation": self.generation,
             "tenant": tenant,
@@ -411,9 +419,6 @@ class NaiveServingOracle:
         if self.cache_enabled and deadline_at is None and key not in self.inflight:
             self.inflight[key] = entry
             entry["leads"] = True
-        if not self.config.enable_batching:
-            actions.extend(self._flush([entry], "size"))
-            return actions
         self.pending.append(entry)
         actions.append(ObserveQueueDepth(len(self.pending)))
         actions.extend(self._maybe_flush())
@@ -473,15 +478,6 @@ class NaiveServingOracle:
         return actions
 
     # -- scheduling + introspection (compared against the kernel's) ------------------
-
-    def next_wakeup(self):
-        if not self.pending or not self.config.enable_batching:
-            return None
-        if len(self.executing) >= self.max_concurrent:
-            return None
-        if self._due():
-            return self.now
-        return self.pending[0]["enqueued_at"] + self.config.max_wait_s
 
     def idle(self) -> bool:
         return not self.pending and not self.executing
@@ -586,24 +582,10 @@ class NaiveServingOracle:
             actions.append(ObserveBatch(len(live)))
         return live
 
-    def _due(self) -> bool:
-        if not self.pending:
-            return False
-        if self.closing:
-            return True
-        if len(self.pending) >= self.config.max_batch_size:
-            return True
-        window_end = self.pending[0]["enqueued_at"] + self.config.max_wait_s
-        if self.now >= window_end:
-            return True
-        for entry in self.pending:
-            if entry["deadline_at"] is not None and entry["deadline_at"] < window_end:
-                return True
-        return False
-
     def _maybe_flush(self):
         actions = []
-        while self.pending and len(self.executing) < self.max_concurrent and self._due():
+        # One model slot: cut a batch whenever it is free and work is pending.
+        if self.pending and not self.executing:
             batch = self._cut_batch()
             if len(batch) == self.config.max_batch_size:
                 reason = "size"
@@ -665,9 +647,7 @@ class NaiveServingOracle:
             FlushBatch(
                 batch_id,
                 tuple(
-                    BatchEntry(
-                        entry["rid"], entry["workload"], entry["deadline_at"], entry["priority"]
-                    )
+                    BatchEntry(entry["rid"], entry["workload"], entry["deadline_at"])
                     for entry in entries
                 ),
                 reason,

@@ -69,6 +69,13 @@ class TestPredictionRequest:
         with pytest.raises(InvalidParameterError):
             PredictionRequest.of(window[0], deadline_s=0.0)
 
+    @pytest.mark.parametrize("deadline_s", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_deadline(self, window, deadline_s):
+        # A nan budget never compares as expired, and an infinite one
+        # overflows the deadline timestamp arithmetic when served.
+        with pytest.raises(InvalidParameterError, match="finite"):
+            PredictionRequest.of(window[0], deadline_s=deadline_s)
+
     def test_requests_are_frozen(self, window):
         request = PredictionRequest.of(window[0])
         with pytest.raises(AttributeError):
@@ -246,9 +253,7 @@ class TestProtocolParity:
     def _predictor_variants(self, model):
         yield "direct", model, None
         yield "cached", CachedPredictor(model), None
-        server = PredictionServer(
-            model, config=ServerConfig(max_batch_size=64, max_wait_s=0.002)
-        )
+        server = PredictionServer(model, config=ServerConfig(max_batch_size=64))
         yield "served", server, server
 
     def test_admission_and_scheduler_decisions_identical(self, fitted_model, window):

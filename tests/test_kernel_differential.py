@@ -9,7 +9,7 @@ Two layers of evidence that the serving pipeline does what its spec says:
   in arbitrary order, hot swaps, value-count mismatches) to both the kernel
   and :class:`tests.oracle.NaiveServingOracle`, asserting **bit-identical
   action lists** after every event and identical counters (batcher, cache,
-  queue depths, wake-ups) as a cross-checked invariant.  The two
+  queue depths) as a cross-checked invariant.  The two
   implementations share only the event/action dataclasses.
 * ``test_trace_replay_*`` — random request traces replayed through a
   real :class:`PredictionServer` (real clocks, real locks), asserting
@@ -20,7 +20,6 @@ Example budgets come from the settings profiles in ``conftest.py``
 (``HYPOTHESIS_PROFILE=ci`` runs the acceptance budget of 500 examples).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -50,36 +49,33 @@ TENANTS = [None, "a", "b", "c"]
 configs = st.builds(
     ServerConfig,
     max_batch_size=st.integers(min_value=1, max_value=4),
-    max_wait_s=st.sampled_from([0.0, 0.005, 0.05]),
     cache_entries=st.integers(min_value=1, max_value=3),
     cache_ttl_s=st.sampled_from([None, 0.02, 10.0]),
     enable_cache=st.booleans(),
-    enable_batching=st.booleans(),
     max_queue_depth=st.sampled_from([None, 1, 2, 4]),
     tenant_weights=st.sampled_from([None, {"a": 2, "b": 1}, {"a": 3, "b": 2, "c": 1}]),
     tenant_max_inflight=st.sampled_from([None, {"a": 1}, {"a": 2, "b": 1}]),
 )
 
 # Deadline shapes relative to the machine's virtual "now": absent, far out,
-# inside a typical batch window (exercises wait clamping + EDF), exactly now
-# (the admission boundary), and already past.
+# tight (expires while a batch runs; exercises EDF and queue sheds), exactly
+# now (the admission boundary), and already past.
 DEADLINE_KINDS = ["none", "far", "tight", "now", "past"]
 
 
 class KernelVsOracleMachine(RuleBasedStateMachine):
     """Drive kernel and oracle with one event stream; they must never differ."""
 
-    @initialize(
-        config=configs,
-        max_concurrent=st.integers(min_value=1, max_value=2),
-    )
-    def setup(self, config, max_concurrent):
-        self.kernel = PipelineKernel(config, max_concurrent_batches=max_concurrent)
-        self.oracle = NaiveServingOracle(config, max_concurrent_batches=max_concurrent)
+    @initialize(config=configs)
+    def setup(self, config):
+        self.kernel = PipelineKernel(config)
+        self.oracle = NaiveServingOracle(config)
         self.now = 100.0
         self.rid = 0
         self.model_version = 0
         self.outstanding: list[FlushBatch] = []
+        # A blocker holds the model slot, so the first submits queue behind it.
+        self._submit_one(0, "none", False, None, 0)
 
     def _step(self, kernel_actions, oracle_actions):
         assert normalize_actions(kernel_actions) == normalize_actions(oracle_actions)
@@ -148,7 +144,7 @@ class KernelVsOracleMachine(RuleBasedStateMachine):
     def submit_burst(self, burst):
         # A same-instant burst across tenants and priorities: the fastest
         # way to overflow max_queue_depth and trip tenant quotas, since no
-        # time passes for the batch window (or a deadline) to drain work.
+        # batch completes (and no deadline passes) to drain work.
         for pool_idx, kind, tenant, priority in burst:
             self._submit_one(pool_idx, kind, True, tenant, priority)
 
@@ -172,8 +168,8 @@ class KernelVsOracleMachine(RuleBasedStateMachine):
             self.oracle.sync_version(self.model_version, self.now),
         )
 
-    def _pop_batch(self, which):
-        return self.outstanding.pop(which % len(self.outstanding))
+    def _pop_batch(self):
+        return self.outstanding.pop()
 
     def _model_values(self, batch, started_at):
         """What the model answers for the live partition at execution start
@@ -186,12 +182,11 @@ class KernelVsOracleMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.outstanding)
     @rule(
-        which=st.integers(min_value=0, max_value=7),
         start_delay=st.sampled_from([0.0, 0.002, 0.05]),
         duration=st.sampled_from([0.0, 0.001, 0.02]),
     )
-    def complete_batch(self, which, start_delay, duration):
-        batch = self._pop_batch(which)
+    def complete_batch(self, start_delay, duration):
+        batch = self._pop_batch()
         started_at = self.now + start_delay
         self.now = started_at + duration
         values = self._model_values(batch, started_at)
@@ -201,9 +196,9 @@ class KernelVsOracleMachine(RuleBasedStateMachine):
         )
 
     @precondition(lambda self: self.outstanding)
-    @rule(which=st.integers(min_value=0, max_value=7))
-    def complete_batch_with_wrong_value_count(self, which):
-        batch = self._pop_batch(which)
+    @rule()
+    def complete_batch_with_wrong_value_count(self):
+        batch = self._pop_batch()
         started_at = self.now
         values = self._model_values(batch, started_at) + [0.0]
         self._step(
@@ -212,12 +207,9 @@ class KernelVsOracleMachine(RuleBasedStateMachine):
         )
 
     @precondition(lambda self: self.outstanding)
-    @rule(
-        which=st.integers(min_value=0, max_value=7),
-        deadline_error=st.booleans(),
-    )
-    def fail_batch(self, which, deadline_error):
-        batch = self._pop_batch(which)
+    @rule(deadline_error=st.booleans())
+    def fail_batch(self, deadline_error):
+        batch = self._pop_batch()
         error = (
             DeadlineExceededError("budget burned inside the model")
             if deadline_error
@@ -243,12 +235,10 @@ class KernelVsOracleMachine(RuleBasedStateMachine):
         # The kernel's incremental per-tenant accounting must equal the
         # oracle's naive recount of its containers.
         assert self.kernel.tenant_inflight() == self.oracle.tenant_inflight()
-        kernel_wakeup = self.kernel.next_wakeup()
-        oracle_wakeup = self.oracle.next_wakeup()
-        if kernel_wakeup is None or oracle_wakeup is None:
-            assert kernel_wakeup == oracle_wakeup
-        else:
-            assert kernel_wakeup == pytest.approx(oracle_wakeup)
+        # One model slot: never more than one flushed batch outstanding, and
+        # never queued work while the slot is free.
+        assert len(self.outstanding) == self.kernel.executing_count() <= 1
+        assert self.kernel.pending_count() == 0 or self.outstanding
 
     def teardown(self):
         if not hasattr(self, "kernel"):
@@ -282,8 +272,7 @@ def _busy_kernel(config):
     feeding its BatchDone back is what releases the slot.
     """
     kernel = PipelineKernel(config)
-    actions = kernel.submit(0, POOL[0], now=0.0)
-    actions += kernel.tick(config.max_wait_s)  # window expiry -> flush rid 0
+    actions = kernel.submit(0, POOL[0], now=0.0)  # an idle slot flushes rid 0 at once
     flushes = [a for a in actions if isinstance(a, FlushBatch)]
     assert len(flushes) == 1 and len(flushes[0].entries) == 1
     return kernel, flushes[0]
@@ -300,7 +289,7 @@ class TestSchedulingFairnessProperties:
     )
     def test_overload_never_sheds_high_priority_while_lower_survives(self, priorities, depth):
         config = ServerConfig(
-            enable_cache=False, max_batch_size=8, max_wait_s=10.0, max_queue_depth=depth
+            enable_cache=False, max_batch_size=8, max_queue_depth=depth
         )
         kernel, _first = _busy_kernel(config)
         queued = {}  # rid -> priority, mirroring the kernel's pending queue
@@ -334,7 +323,6 @@ class TestSchedulingFairnessProperties:
         config = ServerConfig(
             enable_cache=False,
             max_batch_size=max_batch,
-            max_wait_s=10.0,
             tenant_weights={"a": weight_a, "b": weight_b},
         )
         kernel, first = _busy_kernel(config)
@@ -346,8 +334,7 @@ class TestSchedulingFairnessProperties:
                 rid += 1
                 tenant_of[rid] = tenant
                 kernel.submit(rid, POOL[i % len(POOL)], now=10.0, tenant=tenant)
-        # Release the occupying singleton well past every batch window, then
-        # count who wins the slots of the next ``total`` flushed entries.
+        # Release the occupying singleton, then count who wins the slots of the next ``total`` flushed entries.
         now = 30.0
         actions = kernel.batch_done(first.batch_id, 10.0, [10.0], now)
         flushes = [a for a in actions if isinstance(a, FlushBatch)]
@@ -455,7 +442,7 @@ class TestTraceReplayOnRealFronts:
     def test_trace_replay_matches_naive_loop_oracle(self, trace, max_batch):
         deadlines = {"none": None, "generous": 30.0, "expired": 1e-9}
         expected = LookupPredictor()
-        config = ServerConfig(max_batch_size=max_batch, max_wait_s=0.001)
+        config = ServerConfig(max_batch_size=max_batch)
         n_expired = sum(1 for _, kind, _ in trace if kind == "expired")
         with PredictionServer(LookupPredictor(), config=config) as server:
             futures = [

@@ -90,31 +90,24 @@ class FreshPredictor:
 
 @pytest.mark.parametrize("front", FRONTS)
 def test_unbatched_submits_still_coalesce(front):
-    """Identical concurrent requests coalesce even with batching disabled.
+    """Identical concurrent requests coalesce even when serving unbatched.
 
     The pre-kernel thread front only coalesced inside the micro-batcher, so
-    ``enable_batching=False`` silently disabled singleflight too; the kernel
-    registers leadership at admission, independent of batching.
+    serving without batching silently disabled singleflight too; the kernel
+    registers leadership at admission, independent of the batch size.
     """
     gate = GatePredictor(value=7.0)
-    config = ServerConfig(enable_batching=False)
+    config = ServerConfig(max_batch_size=1)
     workload = POOL[0]
     with make_front(front, gate, config) as server:
-        # With batching disabled the thread front executes on the caller
-        # thread, so the leader must be submitted from a helper.
-        leader_value = []
-        leader = threading.Thread(
-            target=lambda: leader_value.append(server.predict_workload(workload))
-        )
-        leader.start()
+        leader = server.submit(workload)
         assert gate.entered.wait(5.0)
 
         followers = [server.submit(workload) for _ in range(2)]
-        assert wait_until(lambda: server.coalesced_requests == 2), front
+        assert server.coalesced_requests == 2, front
 
         gate.release.set()
-        leader.join(timeout=5.0)
-        assert leader_value == [7.0], front
+        assert leader.result(timeout=5.0) == 7.0, front
         assert [f.result(timeout=5.0) for f in followers] == [7.0, 7.0], front
         assert gate.calls == 1, front
         assert server.coalesced_requests == 2, front
@@ -175,7 +168,7 @@ def test_hot_swap_mid_batch_gates_stale_write_back():
     stale = GatePredictor(value=1.0)
     registry = ModelRegistry()
     registry.register("default", stale)
-    config = ServerConfig(max_wait_s=0.0)
+    config = ServerConfig()
     workload, other = POOL[0], POOL[3]
     with PredictionServer(registry, config=config) as server:
         first = server.submit(workload)
@@ -229,11 +222,9 @@ def _flushes(actions):
 def _queued_same_deadline_kernel(priorities):
     """A kernel with a busy model slot and rids 1..n queued at one instant,
     all sharing one deadline, carrying ``priorities`` in admission order."""
-    config = ServerConfig(enable_cache=False, max_batch_size=2, max_wait_s=10.0)
+    config = ServerConfig(enable_cache=False, max_batch_size=2)
     kernel = PipelineKernel(config)
-    actions = kernel.submit(0, POOL[0], now=0.0)
-    actions += kernel.tick(10.0)  # window expiry flushes rid 0: slot busy
-    (first,) = _flushes(actions)
+    (first,) = _flushes(kernel.submit(0, POOL[0], now=0.0))  # the slot is now busy
     for rid, priority in enumerate(priorities, start=1):
         assert not _flushes(
             kernel.submit(rid, POOL[rid % len(POOL)], now=20.0, deadline_at=25.0,
@@ -245,8 +236,8 @@ def _queued_same_deadline_kernel(priorities):
 def test_equal_deadline_ties_cut_in_admission_order():
     """EDF cuts on equal deadlines are broken by admission order, totally.
 
-    The pre-fairness kernel ordered pending work by ``(deadline,
-    enqueued_at)``; requests admitted at the same instant with the same
+    The pre-fairness kernel ordered pending work by deadline, then
+    admission time; requests admitted at the same instant with the same
     deadline tied completely, and the cut fell back on the queue's
     insertion history.  The scheduling key now ends in the admission
     sequence number, so equal deadlines always cut oldest-first.

@@ -179,9 +179,7 @@ class TestServingProperties:
 
         workloads = [Workload(queries=[], actual_memory_mb=d) for d in demands]
         unbatched = naive_loop_values(LookupPredictor(), workloads)
-        config = ServerConfig(
-            max_batch_size=max_batch, max_wait_s=0.001, enable_cache=False
-        )
+        config = ServerConfig(max_batch_size=max_batch, enable_cache=False)
         with PredictionServer(LookupPredictor(), config=config) as server:
             served = server.predict(workloads)
         assert np.allclose(served, unbatched)
@@ -203,7 +201,7 @@ class TestServingProperties:
         pool = make_lookup_pool(6)
         requests = [pool[p] for p in picks]
         expected = naive_loop_values(LookupPredictor(), requests)
-        config = ServerConfig(max_batch_size=max_batch, max_wait_s=0.001)
+        config = ServerConfig(max_batch_size=max_batch)
         with PredictionServer(LookupPredictor(), config=config) as server:
             served = server.predict(requests)
         assert np.allclose(served, expected)
@@ -241,7 +239,7 @@ class TestDeadlineProperties:
         # A generous budget cannot genuinely expire within this test; an
         # "expired" budget of 1 ns cannot survive even the admission path.
         deadlines = {"none": None, "generous": 30.0, "expired": 1e-9}
-        config = ServerConfig(max_batch_size=max_batch, max_wait_s=0.001)
+        config = ServerConfig(max_batch_size=max_batch)
         with PredictionServer(LookupPredictor(), config=config) as server:
             entries = [
                 (

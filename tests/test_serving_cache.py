@@ -58,6 +58,12 @@ class TestLRU:
         with pytest.raises(InvalidParameterError):
             LRUTTLCache(4, ttl_s=0.0)
 
+    @pytest.mark.parametrize("ttl_s", [float("nan"), float("inf")])
+    def test_non_finite_ttl_is_rejected(self, ttl_s):
+        # A nan TTL compares false against every age, so nothing would expire.
+        with pytest.raises(InvalidParameterError, match="finite"):
+            LRUTTLCache(4, ttl_s=ttl_s)
+
 
 class TestTTL:
     def test_entry_expires_after_ttl(self):

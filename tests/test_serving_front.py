@@ -18,7 +18,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from oracle import CountingPredictor, LookupPredictor, make_lookup_pool
+from oracle import CountingPredictor, GatedLookupPredictor, LookupPredictor, make_lookup_pool
 
 from repro.api import PredictionRequest, PredictionResult
 from repro.core.features import FeatureCacheStats
@@ -237,10 +237,10 @@ class TestPredictionServerConstruction:
             assert on.cache_stats() is not None
             assert on.batcher_stats() is not None
             assert on.coalesced_requests == 0
-        config = ServerConfig(enable_cache=False, enable_batching=False)
+        config = ServerConfig(enable_cache=False)
         with PredictionServer(ConstantModel(1.0), config=config) as off:
             assert off.cache_stats() is None
-            assert off.batcher_stats() is None
+            assert off.batcher_stats().requests == 0  # batching is always on
 
     def test_feature_cache_surfaces_follow_the_model(self):
         with PredictionServer(ConstantModel(1.0)) as plain:
@@ -277,18 +277,25 @@ class TestCoroutineSurface:
 
     def test_predict_batch_async_submits_before_awaiting(self, kind):
         predictor = CountingPredictor()
-        config = ServerConfig(max_batch_size=32, max_wait_s=0.05)
+        model = GatedLookupPredictor(predictor)
+        config = ServerConfig(max_batch_size=32)
 
         async def drive():
-            server, _ = serve(predictor, config)
+            server, _ = serve(model, config)
             with server:
+                blocker = asyncio.wrap_future(server.submit(ASYNC_POOL[8]))
+                assert model.started.wait(5.0)
                 requests = [PredictionRequest.of(w) for w in ASYNC_POOL[:8]]
-                return await server.predict_batch_async(requests)
+                batch = asyncio.create_task(server.predict_batch_async(requests))
+                await asyncio.sleep(0)  # the task submits all eight, then awaits
+                model.release.set()
+                await blocker
+                return await batch
 
         results = asyncio.run(drive())
         assert [r.memory_mb for r in results] == [predictor.value] * 8
-        # All eight were in flight together, so they formed real batches.
-        assert max(predictor.batch_sizes) > 1
+        # All eight were in flight together, so they formed one batch.
+        assert predictor.batch_sizes == [1, 8]
 
     def test_concurrent_tasks_share_the_server(self, kind):
         async def drive():
@@ -312,7 +319,7 @@ class TestCoroutineSurface:
         table).
         """
         slow = CountingPredictor(value=16.0, delay_s=0.2)
-        config = ServerConfig(max_wait_s=0.0)
+        config = ServerConfig()
 
         async def drive():
             server, registry = serve(slow, config)
@@ -330,7 +337,7 @@ class TestCoroutineSurface:
 
     def test_async_deadline_miss_raises(self, kind):
         predictor = CountingPredictor(delay_s=0.3)
-        config = ServerConfig(enable_cache=False, max_wait_s=0.0)
+        config = ServerConfig(enable_cache=False)
 
         async def drive():
             server, _ = serve(predictor, config)
@@ -347,7 +354,7 @@ class TestCoroutineSurface:
         pipeline still sheds and counts the request, and the abandoned
         future never warns 'exception was never retrieved'."""
         predictor = CountingPredictor(delay_s=0.3)
-        config = ServerConfig(max_wait_s=0.0)
+        config = ServerConfig()
         server, _ = serve(predictor, config)
         blocker_workload, doomed_workload = ASYNC_POOL[:2]
 
@@ -374,7 +381,7 @@ class TestCoroutineSurface:
         """Request *i*'s budget must not grow by the time spent awaiting
         requests before it in the batch loop."""
         predictor = CountingPredictor(delay_s=0.25)
-        config = ServerConfig(max_batch_size=1, max_wait_s=0.0, enable_cache=False)
+        config = ServerConfig(max_batch_size=1, enable_cache=False)
         server, _ = serve(predictor, config)
 
         async def drive():

@@ -49,9 +49,19 @@ def one(actions, kind):
 
 
 def make_kernel(**overrides):
-    defaults = dict(max_batch_size=4, max_wait_s=0.01, cache_entries=8)
+    defaults = dict(max_batch_size=4, cache_entries=8)
     defaults.update(overrides)
     return PipelineKernel(ServerConfig(**defaults))
+
+
+def busy_kernel(**overrides):
+    """A kernel whose one model slot runs a blocker (rid 0, ``POOL[5]``).
+
+    Every later submit queues behind it until :func:`run_batch` feeds the
+    blocker's ``BatchDone`` back.  Returns ``(kernel, blocker_flush)``.
+    """
+    kernel = make_kernel(**overrides)
+    return kernel, one(kernel.submit(0, POOL[5], now=0.0), FlushBatch)
 
 
 def run_batch(kernel, flush, values, *, started_at, now=None):
@@ -64,8 +74,11 @@ class TestConfigValidation:
         [
             {"max_batch_size": 0},
             {"max_wait_s": -0.1},
+            {"max_wait_s": float("nan")},
             {"cache_entries": 0},
             {"cache_ttl_s": 0.0},
+            {"cache_ttl_s": float("nan")},
+            {"cache_ttl_s": float("inf")},
             {"stream_window": 0},
             {"max_queue_depth": 0},
             {"tenant_weights": {"": 1}},
@@ -78,10 +91,6 @@ class TestConfigValidation:
     def test_bad_knobs_raise(self, overrides):
         with pytest.raises(InvalidParameterError):
             ServerConfig(**overrides)
-
-    def test_bad_concurrency_raises(self):
-        with pytest.raises(InvalidParameterError):
-            PipelineKernel(ServerConfig(), max_concurrent_batches=0)
 
     def test_quota_mappings_normalize_to_sorted_pairs(self):
         config = ServerConfig(
@@ -102,7 +111,7 @@ class TestConfigValidation:
 
 class TestEventDispatch:
     def test_handle_routes_every_event_type(self):
-        kernel = make_kernel(enable_batching=False)
+        kernel = make_kernel()
         actions = kernel.handle(Submit(1, POOL[0], now=1.0))
         flush = one(actions, FlushBatch)
         kernel.handle(Tick(1.1))
@@ -124,7 +133,7 @@ class TestEventDispatch:
 
 class TestCacheTier:
     def test_miss_then_write_through_then_hit(self):
-        kernel = make_kernel(max_wait_s=0.0)
+        kernel = make_kernel()
         actions = kernel.submit(1, POOL[0], now=1.0)
         flush = one(actions, FlushBatch)
         actions = run_batch(kernel, flush, [42.0], started_at=1.01)
@@ -136,7 +145,7 @@ class TestCacheTier:
         assert done == Complete(2, 42.0, cache_hit=True, arrival=1.2, late=False)
 
     def test_expired_cache_hit_is_late_not_shed(self):
-        kernel = make_kernel(max_wait_s=0.0)
+        kernel = make_kernel()
         flush = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
         run_batch(kernel, flush, [42.0], started_at=1.01)
         actions = kernel.submit(2, POOL[0], now=2.0, deadline_at=1.5)
@@ -146,7 +155,7 @@ class TestCacheTier:
         assert kernel.batcher_stats().shed_requests == 0
 
     def test_bypass_skips_read_and_attach_but_populates(self):
-        kernel = make_kernel(max_wait_s=0.0)
+        kernel = make_kernel()
         flush = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
         run_batch(kernel, flush, [42.0], started_at=1.01)
         # BYPASS ignores the cached 42.0 and goes to the model again...
@@ -158,7 +167,7 @@ class TestCacheTier:
         assert one(kernel.submit(3, POOL[0], now=1.3), Complete).value == 43.0
 
     def test_cache_disabled_no_stats_no_coalescing(self):
-        kernel = make_kernel(enable_cache=False, max_wait_s=10.0)
+        kernel, _blocker = busy_kernel(enable_cache=False)
         kernel.submit(1, POOL[0], now=1.0)
         kernel.submit(2, POOL[0], now=1.0)
         assert kernel.cache_stats() is None
@@ -166,7 +175,7 @@ class TestCacheTier:
         assert kernel.pending_count() == 2
 
     def test_cache_stats_counters(self):
-        kernel = make_kernel(max_wait_s=0.0)
+        kernel = make_kernel()
         flush = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
         run_batch(kernel, flush, [42.0], started_at=1.01)
         kernel.submit(2, POOL[0], now=1.1)
@@ -176,19 +185,19 @@ class TestCacheTier:
 
 class TestSingleflight:
     def test_followers_attach_and_complete_as_hits(self):
-        kernel = make_kernel(max_wait_s=10.0)
+        kernel, blocker = busy_kernel()
         kernel.submit(1, POOL[0], now=1.0)
         assert kernel.submit(2, POOL[0], now=1.1) == []  # attached, no actions
         assert kernel.submit(3, POOL[0], now=1.2, deadline_at=9.0) == []
         assert kernel.coalesced_requests == 2
-        flush = one(kernel.close(1.3), FlushBatch)
+        flush = one(run_batch(kernel, blocker, [60.0], started_at=1.3), FlushBatch)
         actions = run_batch(kernel, flush, [7.0], started_at=1.4)
         completes = only(actions, Complete)
         assert [c.rid for c in completes] == [1, 2, 3]
         assert [c.cache_hit for c in completes] == [False, True, True]
 
     def test_deadline_requests_never_lead(self):
-        kernel = make_kernel(max_wait_s=10.0)
+        kernel, _blocker = busy_kernel()
         kernel.submit(1, POOL[0], now=1.0, deadline_at=50.0)
         # Not registered as leader: an identical deadline-free submit starts
         # its own pipeline entry instead of attaching.
@@ -197,10 +206,10 @@ class TestSingleflight:
         assert kernel.pending_count() == 2
 
     def test_follower_failure_is_error_not_shed(self):
-        kernel = make_kernel(max_wait_s=10.0)
+        kernel, blocker = busy_kernel()
         kernel.submit(1, POOL[0], now=1.0)
         kernel.submit(2, POOL[0], now=1.0)
-        flush = one(kernel.close(1.1), FlushBatch)
+        flush = one(run_batch(kernel, blocker, [60.0], started_at=1.1), FlushBatch)
         actions = kernel.batch_failed(
             flush.batch_id, 1.2, DeadlineExceededError("model-side expiry"), 1.2
         )
@@ -218,9 +227,8 @@ class TestDeadlines:
         assert kernel.batcher_stats().requests == 0
 
     def test_queue_shed_on_any_event(self):
-        # The deadline sits beyond the batch window, so the request stays
-        # queued (no wait clamp) until time passes it.
-        kernel = make_kernel(max_wait_s=0.01)
+        # The request queues behind the blocker until time passes its deadline.
+        kernel, _blocker = busy_kernel()
         kernel.submit(1, POOL[0], now=1.0, deadline_at=1.5)
         actions = kernel.tick(2.0)
         assert one(actions, Shed) == Shed(1, "queue")
@@ -228,7 +236,7 @@ class TestDeadlines:
         assert kernel.pending_count() == 0
 
     def test_execution_shed_recomputed_at_started_at(self):
-        kernel = make_kernel(max_wait_s=0.0)
+        kernel = make_kernel()
         actions = kernel.submit(1, POOL[0], now=1.0, deadline_at=1.5)
         flush = one(actions, FlushBatch)
         kernel.submit(2, POOL[1], now=1.0, deadline_at=1.8)
@@ -240,14 +248,14 @@ class TestDeadlines:
         assert kernel.batcher_stats().shed_requests == 1
 
     def test_all_expired_batch_counts_no_batch(self):
-        kernel = make_kernel(max_wait_s=0.0)
+        kernel = make_kernel()
         flush = one(kernel.submit(1, POOL[0], now=1.0, deadline_at=1.5), FlushBatch)
         actions = kernel.batch_done(flush.batch_id, 2.0, [], 2.0)
         assert only(actions, ObserveBatch) == []
         assert kernel.batcher_stats().batches == 0
 
     def test_late_batched_completion_is_late(self):
-        kernel = make_kernel(max_wait_s=0.0)
+        kernel = make_kernel()
         flush = one(kernel.submit(1, POOL[0], now=1.0, deadline_at=1.5), FlushBatch)
         # Started before expiry (so it is live), finished after.
         actions = kernel.batch_done(flush.batch_id, 1.2, [5.0], 3.0)
@@ -255,31 +263,53 @@ class TestDeadlines:
 
 
 class TestBatching:
-    def test_window_flush_and_next_wakeup(self):
-        kernel = make_kernel(max_wait_s=0.01)
-        kernel.submit(1, POOL[0], now=1.0)
-        assert kernel.next_wakeup() == pytest.approx(1.01)
-        assert kernel.tick(1.005) == []
-        actions = kernel.tick(1.011)
-        assert one(actions, FlushBatch).reason == "deadline"
+    def test_idle_kernel_flushes_a_lone_submit_without_a_tick(self):
+        # Default config, virtual clock: nothing waits on a timer.
+        kernel = PipelineKernel(ServerConfig())
+        actions = kernel.submit(1, POOL[0], now=1.0)
+        flush = one(actions, FlushBatch)
+        assert [entry.rid for entry in flush.entries] == [1]
+        assert flush.reason == "deadline"
+        assert kernel.pending_count() == 0 and kernel.executing_count() == 1
+
+    def test_backlog_is_cut_as_edf_batches_at_each_batch_done(self):
+        kernel = PipelineKernel(ServerConfig(max_batch_size=3, enable_cache=False))
+        blocker = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
+        deadlines = {2: 9.0, 3: None, 4: 5.0, 5: 7.0, 6: 6.0}
+        for rid, deadline_at in deadlines.items():
+            actions = kernel.submit(rid, POOL[rid - 1], now=1.0, deadline_at=deadline_at)
+            assert only(actions, FlushBatch) == []  # the slot is busy
+        assert kernel.pending_count() == 5
+        # BatchDone frees the slot: the tightest three deadlines, in EDF order.
+        second = one(run_batch(kernel, blocker, [1.0], started_at=1.1), FlushBatch)
+        assert [entry.rid for entry in second.entries] == [4, 6, 5]
+        assert second.reason == "size"
+        # The rest follow at the next BatchDone (deadline-free work last).
+        third = one(run_batch(kernel, second, [1.0, 2.0, 3.0], started_at=1.2), FlushBatch)
+        assert [entry.rid for entry in third.entries] == [2, 3]
+        assert third.reason == "deadline"
+        assert only(run_batch(kernel, third, [4.0, 5.0], started_at=1.3), FlushBatch) == []
+        assert kernel.idle()
 
     def test_size_flush(self):
-        kernel = make_kernel(max_batch_size=2, max_wait_s=10.0)
+        kernel, blocker = busy_kernel(max_batch_size=2)
         kernel.submit(1, POOL[0], now=1.0)
-        actions = kernel.submit(2, POOL[1], now=1.0)
-        flush = one(actions, FlushBatch)
+        kernel.submit(2, POOL[1], now=1.0)
+        flush = one(run_batch(kernel, blocker, [60.0], started_at=1.05), FlushBatch)
         assert flush.reason == "size" and len(flush.entries) == 2
         run_batch(kernel, flush, [1.0, 2.0], started_at=1.1)
         stats = kernel.batcher_stats()
-        assert (stats.batches, stats.size_flushes, stats.max_batch_size_seen) == (1, 1, 2)
+        # The blocker was a batch of one; the backlog made one size flush.
+        assert (stats.batches, stats.size_flushes, stats.max_batch_size_seen) == (2, 1, 2)
 
     def test_wait_clamp_on_inside_window_deadline(self):
-        kernel = make_kernel(max_wait_s=0.01)
+        # A tight deadline never waits in the queue: the idle slot cuts it.
+        kernel = make_kernel()
         actions = kernel.submit(1, POOL[0], now=1.0, deadline_at=1.005)
         assert one(actions, FlushBatch).reason == "deadline"
 
     def test_edf_cut_takes_tightest_deadlines_first(self):
-        kernel = make_kernel(max_batch_size=2, max_wait_s=0.0, enable_cache=False)
+        kernel = make_kernel(max_batch_size=2, enable_cache=False)
         # Occupy the execution slot so deadline work piles up behind it.
         first = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
         kernel.submit(2, POOL[1], now=1.0, deadline_at=9.0)
@@ -291,36 +321,31 @@ class TestBatching:
         assert kernel.pending_count() == 1  # the loosest deadline waits
 
     def test_capacity_gates_due_flushes_until_batch_done(self):
-        kernel = make_kernel(max_batch_size=2, max_wait_s=0.0)
+        kernel = make_kernel(max_batch_size=2)
         first = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
         # Slot busy: further due work queues instead of flushing.
         assert only(kernel.submit(2, POOL[1], now=1.0), FlushBatch) == []
         assert only(kernel.submit(3, POOL[2], now=1.0), FlushBatch) == []
-        assert kernel.next_wakeup() is None  # no timer can help a busy slot
         assert kernel.executing_count() == 1 and kernel.pending_count() == 2
         actions = run_batch(kernel, first, [1.0], started_at=1.1)
         second = one(actions, FlushBatch)
         assert [entry.rid for entry in second.entries] == [2, 3]
 
     def test_queue_depth_observed_per_admit(self):
-        kernel = make_kernel(max_wait_s=10.0)
+        kernel, _blocker = busy_kernel()
         assert one(kernel.submit(1, POOL[0], now=1.0), ObserveQueueDepth).depth == 1
         assert one(kernel.submit(2, POOL[1], now=1.0), ObserveQueueDepth).depth == 2
 
     def test_non_batching_flushes_singletons_immediately(self):
-        kernel = make_kernel(enable_batching=False)
+        # max_batch_size=1 is unbatched serving: every cut is a full batch.
+        kernel = make_kernel(max_batch_size=1)
         flush = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
         assert flush.reason == "size" and len(flush.entries) == 1
-        assert kernel.next_wakeup() is None
         run_batch(kernel, flush, [5.0], started_at=1.1)
         assert kernel.idle()
 
-    def test_next_wakeup_none_when_nothing_pending(self):
-        kernel = make_kernel()
-        assert kernel.next_wakeup() is None
-
     def test_freed_slot_immediately_flushes_due_singleton(self):
-        kernel = make_kernel(max_batch_size=1, max_wait_s=10.0, enable_cache=False)
+        kernel = make_kernel(max_batch_size=1, enable_cache=False)
         first = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
         kernel.submit(2, POOL[1], now=1.0)  # due (size) but slot is busy
         second = one(run_batch(kernel, first, [1.0], started_at=1.5), FlushBatch)
@@ -330,7 +355,7 @@ class TestBatching:
 
 class TestBatchCompletion:
     def test_values_mismatch_fails_whole_batch(self):
-        kernel = make_kernel(max_wait_s=0.0)
+        kernel = make_kernel()
         flush = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
         actions = kernel.batch_done(flush.batch_id, 1.1, [1.0, 2.0], 1.1)
         fail = one(actions, Fail)
@@ -339,14 +364,14 @@ class TestBatchCompletion:
         assert kernel.batcher_stats().batches == 1
 
     def test_batch_failed_forwards_error(self):
-        kernel = make_kernel(max_wait_s=0.0)
+        kernel = make_kernel()
         flush = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
         boom = RuntimeError("boom")
         fail = one(kernel.batch_failed(flush.batch_id, 1.1, boom, 1.1), Fail)
         assert fail.error is boom and not fail.shed
 
     def test_deadline_error_from_model_counts_as_shed(self):
-        kernel = make_kernel(max_wait_s=0.0, enable_cache=False)
+        kernel = make_kernel(enable_cache=False)
         flush = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
         fail = one(
             kernel.batch_failed(flush.batch_id, 1.1, DeadlineExceededError("x"), 1.1), Fail
@@ -366,7 +391,7 @@ class TestHotSwap:
         assert kernel.version == 3 and kernel.generation == 0
 
     def test_swap_invalidates_cache_and_gates_write_back(self):
-        kernel = make_kernel(max_wait_s=0.0)
+        kernel = make_kernel()
         kernel.sync_version(1, 1.0)
         flush = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
         # Swap while the batch is still executing...
@@ -379,7 +404,7 @@ class TestHotSwap:
         assert only(kernel.submit(2, POOL[0], now=1.2), Complete) == []  # miss
 
     def test_swap_clears_singleflight_but_keeps_followers(self):
-        kernel = make_kernel(max_wait_s=0.0)
+        kernel = make_kernel()
         kernel.sync_version(1, 1.0)
         flush = one(kernel.submit(1, POOL[0], now=1.0), FlushBatch)
         kernel.submit(2, POOL[0], now=1.01)  # follower on the pre-swap leader
@@ -400,10 +425,11 @@ class TestHotSwap:
 
 class TestClose:
     def test_close_flushes_pending_as_close_reason(self):
-        kernel = make_kernel(max_wait_s=10.0)
+        kernel, blocker = busy_kernel()
         kernel.submit(1, POOL[0], now=1.0)
         kernel.submit(2, POOL[1], now=1.0)
-        flush = one(kernel.close(1.1), FlushBatch)
+        assert kernel.close(1.1) == []  # the slot is busy: nothing to cut yet
+        flush = one(run_batch(kernel, blocker, [60.0], started_at=1.15), FlushBatch)
         assert flush.reason == "close"
         run_batch(kernel, flush, [1.0, 2.0], started_at=1.2)
         assert kernel.idle()
@@ -429,9 +455,8 @@ class TestHelpers:
         newcomer is rejected (it loses the seq tie), and a higher-priority
         newcomer evicts the worst *follower-free* entry instead.
         """
-        kernel = make_kernel(max_queue_depth=2, max_wait_s=10.0)
-        kernel.submit(0, POOL[0], now=0.0)
-        one(kernel.tick(10.0), FlushBatch)  # window expiry: the slot is busy
+        kernel = make_kernel(max_queue_depth=2)
+        one(kernel.submit(0, POOL[0], now=0.0), FlushBatch)  # the slot is now busy
         kernel.submit(1, POOL[1], now=20.0)
         kernel.submit(2, POOL[1], now=20.0)  # coalesces onto rid 1's entry
         assert kernel.coalesced_requests == 1

@@ -66,11 +66,22 @@ class TestPredict:
 
     def test_close_drains_pending_requests(self, workload_pool):
         predictor = CountingPredictor()
-        # A window long enough that only close() can flush the batch.
-        config = ServerConfig(max_batch_size=100, max_wait_s=30.0)
-        server = PredictionServer(predictor, config=config)
+        model = GatedLookupPredictor(predictor)
+        server = PredictionServer(model, config=ServerConfig(max_batch_size=100))
+        blocker = server.submit(workload_pool[5])
+        assert model.started.wait(5.0)
+        # The blocker holds the model slot, so only close() can cut these.
         futures = [server.submit(w) for w in workload_pool[:5]]
+        close_kernel = server._kernel.close
+
+        def close_then_release(now):
+            actions = close_kernel(now)
+            model.release.set()
+            return actions
+
+        server._kernel.close = close_then_release
         server.close()
+        assert blocker.result(timeout=1.0) == predictor.value
         assert [f.result(timeout=1.0) for f in futures] == [predictor.value] * 5
         assert server.batcher_stats().close_flushes == 1
 
@@ -82,20 +93,25 @@ class TestPredict:
             def predict(self, workloads):
                 raise RuntimeError("model fell over")
 
-        config = ServerConfig(enable_cache=False, max_batch_size=4, max_wait_s=30.0)
-        with PredictionServer(FailingPredictor(), config=config) as server:
+        model = GatedLookupPredictor(FailingPredictor())
+        config = ServerConfig(enable_cache=False, max_batch_size=4)
+        with PredictionServer(model, config=config) as server:
+            blocker = server.submit(workload_pool[4])
+            assert model.started.wait(5.0)
             futures = [server.submit(w) for w in workload_pool[:4]]  # one size flush
-            for future in futures:
+            model.release.set()
+            for future in [blocker, *futures]:
                 with pytest.raises(RuntimeError, match="model fell over"):
                     future.result(timeout=5.0)
-            assert server.batcher_stats().batches == 1
-            assert server.snapshot().n_errors == 4
+            stats = server.batcher_stats()
+            assert (stats.batches, stats.size_flushes) == (2, 1)
+            assert server.snapshot().n_errors == 5
 
 
 class TestCachingAndCoalescing:
     def test_repeated_workload_hits_cache(self, workload_pool):
         predictor = CountingPredictor()
-        with PredictionServer(predictor, config=ServerConfig(max_wait_s=0.0)) as server:
+        with PredictionServer(predictor) as server:
             server.predict_workload(workload_pool[0])
             first_calls = predictor.calls
             for _ in range(5):
@@ -106,18 +122,22 @@ class TestCachingAndCoalescing:
 
     def test_burst_of_identical_requests_coalesces(self, workload_pool):
         predictor = CountingPredictor()
-        config = ServerConfig(max_batch_size=64, max_wait_s=0.05)
-        with PredictionServer(predictor, config=config) as server:
+        model = GatedLookupPredictor(predictor)
+        config = ServerConfig(max_batch_size=64)
+        with PredictionServer(model, config=config) as server:
+            blocker = server.submit(workload_pool[1])
+            assert model.started.wait(5.0)
             futures = [server.submit(workload_pool[0]) for _ in range(20)]
-            results = [f.result(timeout=5.0) for f in futures]
-            assert results == [predictor.value] * 20
-            # One unique signature -> at most one batched model call.
-            assert sum(predictor.batch_sizes) == 1
+            model.release.set()
+            results = [f.result(timeout=5.0) for f in [blocker, *futures]]
+            assert results == [predictor.value] * 21
+            # One unique signature -> one model call on top of the blocker's.
+            assert predictor.batch_sizes == [1, 1]
             assert server.coalesced_requests == 19
 
     def test_cache_disabled_calls_model_every_time(self, workload_pool):
         predictor = CountingPredictor()
-        config = ServerConfig(enable_cache=False, enable_batching=False)
+        config = ServerConfig(enable_cache=False)
         with PredictionServer(predictor, config=config) as server:
             for _ in range(3):
                 server.predict_workload(workload_pool[0])
@@ -125,34 +145,45 @@ class TestCachingAndCoalescing:
         assert predictor.calls == 3
 
     def test_micro_batching_coalesces_distinct_workloads(self, workload_pool):
-        predictor = CountingPredictor()
-        config = ServerConfig(max_batch_size=32, max_wait_s=0.05)
-        with PredictionServer(predictor, config=config) as server:
+        model = GatedLookupPredictor(CountingPredictor())
+        config = ServerConfig(max_batch_size=32)
+        with PredictionServer(model, config=config) as server:
+            blocker = server.submit(workload_pool[12])
+            assert model.started.wait(5.0)
             futures = [server.submit(w) for w in workload_pool[:12]]
-            for future in futures:
+            model.release.set()
+            for future in [blocker, *futures]:
                 future.result(timeout=5.0)
             stats = server.batcher_stats()
-        assert stats.requests == 12
-        assert stats.batches < 12
-        assert stats.max_batch_size_seen > 1
+        # The backlog behind the blocker ran as one batch.
+        assert stats.requests == 13
+        assert stats.batches == 2
+        assert stats.max_batch_size_seen == 12
 
     def test_flush_on_size_splits_oversized_waves(self, workload_pool):
-        predictor = CountingPredictor()
-        config = ServerConfig(max_batch_size=4, max_wait_s=0.05)
-        with PredictionServer(predictor, config=config) as server:
+        model = GatedLookupPredictor(CountingPredictor())
+        config = ServerConfig(max_batch_size=4)
+        with PredictionServer(model, config=config) as server:
+            blocker = server.submit(workload_pool[10])
+            assert model.started.wait(5.0)
             futures = [server.submit(w) for w in workload_pool[:10]]
-            for future in futures:
+            model.release.set()
+            for future in [blocker, *futures]:
                 future.result(timeout=5.0)
             stats = server.batcher_stats()
+        # A backlog of 10 is cut 4 + 4 + 2.
         assert stats.max_batch_size_seen <= 4
-        assert stats.size_flushes >= 1
+        assert stats.size_flushes == 2
 
     def test_inline_mode_without_batching(self, workload_pool):
+        # max_batch_size=1 is unbatched serving, through the one worker.
         predictor = CountingPredictor()
-        config = ServerConfig(enable_batching=False)
+        config = ServerConfig(max_batch_size=1)
         with PredictionServer(predictor, config=config) as server:
             assert server.predict_workload(workload_pool[1]) == predictor.value
-            assert server.batcher_stats() is None
+            assert server.predict_workload(workload_pool[2]) == predictor.value
+            assert server.batcher_stats().max_batch_size_seen == 1
+        assert predictor.batch_sizes == [1, 1]
 
 
 class SlowPredictor:
@@ -204,7 +235,7 @@ class TestServerConfigValidation:
             ServerConfig(cache_entries=-1, enable_cache=False)
 
     def test_valid_config_accepted(self):
-        config = ServerConfig(max_batch_size=1, max_wait_s=0.0, cache_entries=1, cache_ttl_s=0.5)
+        config = ServerConfig(max_batch_size=1, cache_entries=1, cache_ttl_s=0.5)
         assert config.cache_ttl_s == 0.5
 
 
@@ -258,7 +289,7 @@ class TestDeadlines:
 
     def test_queued_request_expiring_behind_a_slow_batch_is_shed(self, workload_pool):
         predictor = SlowPredictor(delay_s=0.3)
-        config = ServerConfig(max_wait_s=0.0)
+        config = ServerConfig()
         with PredictionServer(predictor, config=config) as server:
             blocker = server.submit(workload_pool[0])
             time.sleep(0.05)  # let the first batch occupy the worker
@@ -278,7 +309,7 @@ class TestDeadlines:
         """Regression: request *i*'s budget must not grow by the time spent
         awaiting requests before it in the batch loop."""
         predictor = SlowPredictor(delay_s=0.25)
-        config = ServerConfig(max_batch_size=1, max_wait_s=0.0, enable_cache=False)
+        config = ServerConfig(max_batch_size=1, enable_cache=False)
         with PredictionServer(predictor, config=config) as server:
             requests = [
                 PredictionRequest.of(workload_pool[i], deadline_s=0.4) for i in range(3)
@@ -290,11 +321,15 @@ class TestDeadlines:
                 server.predict_batch(requests)
 
     def test_late_completion_counts_as_miss_but_still_delivers(self, workload_pool):
-        predictor = SlowPredictor(delay_s=0.15)
-        config = ServerConfig(enable_batching=False, enable_cache=False)
+        predictor = SlowPredictor(delay_s=0.4)
+        config = ServerConfig(enable_cache=False)
         with PredictionServer(predictor, config=config) as server:
-            # Inline execution starts within budget and finishes past it.
-            result = server.predict(PredictionRequest.of(workload_pool[0], deadline_s=0.05))
+            # An idle slot starts the batch within budget; it finishes past
+            # it.  The future is awaited unbounded, so the late answer lands.
+            future = server.submit_request(
+                PredictionRequest.of(workload_pool[0], deadline_s=0.2)
+            )
+            result = future.result(timeout=5.0)
             assert result.memory_mb == predictor.value
             report = server.snapshot()
         assert report.deadline_misses == 1
@@ -311,7 +346,7 @@ class TestPriorityExecution:
         """
         model = GatedLookupPredictor()
         pool = make_lookup_pool(3)
-        config = ServerConfig(max_batch_size=1, max_wait_s=0.0, enable_cache=False)
+        config = ServerConfig(max_batch_size=1, enable_cache=False)
         with PredictionServer(model, config=config) as server:
             first = server.submit_request(PredictionRequest.of(pool[0]))
             assert model.started.wait(5.0)
@@ -354,7 +389,7 @@ class TestHotSwap:
         and repopulate the fresh cache with the old model's value."""
         registry = ModelRegistry()
         registry.register("m", SlowPredictor(value=10.0, delay_s=0.3))
-        config = ServerConfig(max_wait_s=0.0)
+        config = ServerConfig()
         with PredictionServer(registry, model_name="m", config=config) as server:
             stale = server.submit(workload_pool[0])  # in-flight on the old model
             time.sleep(0.05)
@@ -506,7 +541,7 @@ class TestLoadGenerator:
         # Every request carries an unmeetable budget: all are shed, none
         # count as errors, and the report carries the server-side counters.
         predictor = SlowPredictor(delay_s=0.2)
-        config = ServerConfig(enable_cache=False, max_wait_s=0.0)
+        config = ServerConfig(enable_cache=False)
         with PredictionServer(predictor, config=config) as server:
             report = LoadGenerator(
                 server, workload_pool[:6], qps=1000.0, deadline_s=1e-9

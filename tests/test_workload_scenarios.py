@@ -432,7 +432,7 @@ class TestTenantTelemetry:
 
 def run_scenario(compiled):
     """Drive one compiled scenario on a fresh tiny server; return the report."""
-    config = ServerConfig(max_batch_size=16, max_wait_s=0.002)
+    config = ServerConfig(max_batch_size=16)
     with PredictionServer(ConstantMemoryPredictor(32.0), config=config) as server:
         return LoadGenerator.from_scenario(server, compiled).run()
 
@@ -498,9 +498,7 @@ class TestLoadGeneratorKnobs:
             LoadGenerator(object(), [tiny_workload], qps=10.0, seed="7")
 
     def test_seed_lands_in_report(self, tiny_workload):
-        with PredictionServer(
-            ConstantMemoryPredictor(8.0), config=ServerConfig(max_wait_s=0.0)
-        ) as server:
+        with PredictionServer(ConstantMemoryPredictor(8.0)) as server:
             report = LoadGenerator(
                 server, [tiny_workload] * 5, qps=500.0, benchmark="tpcds", seed=123
             ).run()

@@ -10,7 +10,8 @@ unavailable dependencies:
   :class:`~repro.ml.tree.DecisionTreeRegressor`,
   :class:`~repro.ml.forest.RandomForestRegressor`,
   :class:`~repro.ml.gbm.GradientBoostingRegressor` (XGBoost-style) and
-  :class:`~repro.ml.mlp.MLPRegressor`,
+  :class:`~repro.ml.mlp.MLPRegressor`; the tree models predict from flat
+  node arrays, all trees at once (:mod:`repro.ml.flat_trees`),
 * utilities — preprocessing, model selection (train/test split, K-fold,
   randomized search) and SQL text featurization (bag of words, text mining,
   word embeddings).

@@ -16,12 +16,13 @@ from repro.ml.base import (
     check_random_state,
     check_X_y,
 )
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.flat_trees import FlatTreesMixin, accumulate
+from repro.ml.tree import DecisionTreeRegressor, TreeNode
 
 __all__ = ["RandomForestRegressor"]
 
 
-class RandomForestRegressor(BaseEstimator, RegressorMixin):
+class RandomForestRegressor(FlatTreesMixin, BaseEstimator, RegressorMixin):
     """Ensemble of variance-reduction CART trees trained on bootstrap samples.
 
     Parameters
@@ -80,17 +81,20 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
                 tree.fit(X, y)
             estimators.append(tree)
         self.estimators_ = estimators
+        self._compile()
         return self
 
+    def _linked_roots(self) -> list[TreeNode] | None:
+        if self.estimators_ is None:
+            return None
+        return [estimator.tree_ for estimator in self.estimators_]
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        check_is_fitted(self, "estimators_")
+        check_is_fitted(self, "flat_")
         X = check_array(X)
-        predictions = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.estimators_:
-            predictions += tree.predict(X)
-        return predictions / len(self.estimators_)
+        return accumulate(0.0, self.flat_.leaf_values(X))[:, -1] / len(self.estimators_)
 
     def node_count(self) -> int:
         """Total number of tree nodes across the ensemble."""
-        check_is_fitted(self, "estimators_")
-        return sum(tree.node_count() for tree in self.estimators_)
+        check_is_fitted(self, "flat_")
+        return self.flat_.n_nodes

@@ -28,6 +28,7 @@ from repro.ml.base import (
     check_random_state,
     check_X_y,
 )
+from repro.ml.flat_trees import FlatTreesMixin, accumulate, compile_trees
 
 __all__ = ["GradientBoostingRegressor", "BoostedTreeNode"]
 
@@ -42,25 +43,8 @@ class BoostedTreeNode:
     left: "BoostedTreeNode | None" = field(default=None, repr=False)
     right: "BoostedTreeNode | None" = field(default=None, repr=False)
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
 
-    def count_nodes(self) -> int:
-        if self.is_leaf:
-            return 1
-        assert self.left is not None and self.right is not None
-        return 1 + self.left.count_nodes() + self.right.count_nodes()
-
-    def predict_one(self, row: np.ndarray) -> float:
-        node = self
-        while not node.is_leaf:
-            assert node.left is not None and node.right is not None
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value
-
-
-class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
+class GradientBoostingRegressor(FlatTreesMixin, BaseEstimator, RegressorMixin):
     """Gradient boosting with second-order (XGBoost-style) tree construction.
 
     Parameters
@@ -213,36 +197,30 @@ class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
 
             tree = self._build_tree(X[indices], gradients[indices], hessians[indices], 0)
             trees.append(tree)
-            update = np.array([tree.predict_one(row) for row in X])
+            update = compile_trees([tree]).leaf_values(X)[:, 0]
             predictions += self.learning_rate * update
 
         self.trees_ = trees
+        self._compile()
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        check_is_fitted(self, "trees_")
+    def _linked_roots(self) -> list[BoostedTreeNode] | None:
+        return self.trees_
+
+    def _stages(self, X: np.ndarray) -> np.ndarray:
+        """Base score then the running sum after each tree, shape (n, rounds + 1)."""
+        check_is_fitted(self, "flat_")
         X = check_array(X)
-        predictions = np.full(X.shape[0], self.base_score_, dtype=np.float64)
-        for tree in self.trees_:
-            predictions += self.learning_rate * np.array(
-                [tree.predict_one(row) for row in X]
-            )
-        return predictions
+        return accumulate(self.base_score_, self.learning_rate * self.flat_.leaf_values(X))
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self._stages(X)[:, -1].copy()
 
     def node_count(self) -> int:
         """Total node count across boosted trees (a model-size proxy)."""
-        check_is_fitted(self, "trees_")
-        return sum(tree.count_nodes() for tree in self.trees_)
+        check_is_fitted(self, "flat_")
+        return self.flat_.n_nodes
 
     def staged_predict(self, X: np.ndarray) -> np.ndarray:
         """Return predictions after each boosting round, shape (rounds, n)."""
-        check_is_fitted(self, "trees_")
-        X = check_array(X)
-        stages = np.empty((len(self.trees_), X.shape[0]), dtype=np.float64)
-        current = np.full(X.shape[0], self.base_score_, dtype=np.float64)
-        for i, tree in enumerate(self.trees_):
-            current = current + self.learning_rate * np.array(
-                [tree.predict_one(row) for row in X]
-            )
-            stages[i] = current
-        return stages
+        return np.ascontiguousarray(self._stages(X)[:, 1:].T)

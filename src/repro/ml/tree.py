@@ -3,7 +3,9 @@
 Backs three of the paper's regressors: LearnedWMP-DT / SingleWMP-DT directly,
 and the random-forest and gradient-boosting ensembles through composition.
 The implementation is a standard variance-reduction CART with histogram-free
-exact splits, vectorized over candidate thresholds per feature.
+exact splits, vectorized over candidate thresholds per feature.  ``fit``
+grows linked :class:`TreeNode` trees and compiles them into flat arrays
+(:mod:`repro.ml.flat_trees`), which every ``predict`` scores from.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.ml.base import (
     check_random_state,
     check_X_y,
 )
+from repro.ml.flat_trees import FlatTreesMixin
 
 __all__ = ["DecisionTreeRegressor", "TreeNode"]
 
@@ -122,7 +125,7 @@ def _best_split(
     return int(feature_indices[candidate]), threshold, gain
 
 
-class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
+class DecisionTreeRegressor(FlatTreesMixin, BaseEstimator, RegressorMixin):
     """CART regression tree minimizing within-node variance.
 
     Parameters
@@ -224,26 +227,22 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         self.n_features_in_ = X.shape[1]
         n_candidates = self._resolve_max_features(X.shape[1])
         self.tree_ = self._build(X, y, depth=0, rng=rng, n_feature_candidates=n_candidates)
+        self._compile()
         return self
 
+    def _linked_roots(self) -> list[TreeNode] | None:
+        return None if self.tree_ is None else [self.tree_]
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        check_is_fitted(self, "tree_")
-        X = check_array(X)
-        predictions = np.empty(X.shape[0], dtype=np.float64)
-        for i in range(X.shape[0]):
-            node = self.tree_
-            while not node.is_leaf:
-                assert node.left is not None and node.right is not None
-                node = node.left if X[i, node.feature] <= node.threshold else node.right
-            predictions[i] = node.value
-        return predictions
+        check_is_fitted(self, "flat_")
+        return self.flat_.leaf_values(check_array(X))[:, 0]
 
     def node_count(self) -> int:
         """Number of nodes in the fitted tree (a proxy for model size)."""
-        check_is_fitted(self, "tree_")
-        return self.tree_.count_nodes()
+        check_is_fitted(self, "flat_")
+        return self.flat_.n_nodes
 
     def depth(self) -> int:
         """Depth of the fitted tree."""
-        check_is_fitted(self, "tree_")
-        return self.tree_.depth()
+        check_is_fitted(self, "flat_")
+        return self.flat_.max_depth

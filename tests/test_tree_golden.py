@@ -14,13 +14,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.serialization import load_model
+from repro.core.serialization import load_model, save_model
 from repro.exceptions import InvalidParameterError
+from repro.ml.flat_trees import accumulate
+from repro.ml.forest import RandomForestRegressor
+from repro.ml.gbm import GradientBoostingRegressor
 from tree_oracle import reference_predict
 
 DATA = Path(__file__).resolve().parent / "data" / "tree_golden"
@@ -67,6 +71,30 @@ def test_nonfinite_rows_are_rejected_and_walk_as_recorded(case):
         with pytest.raises(InvalidParameterError):
             model.predict(row[None, :])
     assert hexes(reference_predict(model, bad)) == spec["nonfinite_reference"]
+
+
+def flat_predict(model, X) -> np.ndarray:
+    """The model's own sum over its flat leaf values, without the finite-input check."""
+    leaves = model.flat_.leaf_values(X)
+    if isinstance(model, GradientBoostingRegressor):
+        return accumulate(model.base_score_, model.learning_rate * leaves)[:, -1]
+    if isinstance(model, RandomForestRegressor):
+        return accumulate(0.0, leaves)[:, -1] / len(model.estimators_)
+    return leaves[:, 0]
+
+
+def test_nonfinite_rows_traverse_as_recorded(case):
+    spec, model, X = case
+    bad = np.array([unhex(row) for row in spec["nonfinite_rows"]])
+    assert hexes(flat_predict(model, bad)) == spec["nonfinite_reference"]
+    assert hexes(flat_predict(model, X)) == spec["predict"]
+
+
+def test_flat_arrays_stay_out_of_the_file(case, tmp_path):
+    spec, model, X = case
+    assert b"flat_" not in pickle.dumps(model)
+    resaved = load_model(save_model(model, tmp_path / spec["file"]))
+    assert hexes(resaved.predict(X)) == spec["predict"]
 
 
 def test_reference_walker_agrees(case):

@@ -16,7 +16,6 @@ Training minimizes the paper's loss (Eq. 9):
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import InvalidParameterError
 from repro.ml.base import (
@@ -206,6 +205,10 @@ class MLPRegressor(BaseEstimator, RegressorMixin):
     # -- solvers ----------------------------------------------------------------
 
     def _fit_lbfgs(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> None:
+        # Imported here: scipy.optimize alone costs ~49 MB of RSS and most of
+        # the package's import time, and only this solver needs it.
+        from scipy import optimize
+
         n_features = X.shape[1]
         coefs, intercepts = self._init_weights(n_features, rng)
 

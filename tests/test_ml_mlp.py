@@ -1,5 +1,10 @@
 """Tests for the MLP regressor and its three solvers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -103,3 +108,18 @@ class TestMLPRegressor:
             random_state=0,
         ).fit(X, y)
         assert model.n_iter_ < 500
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # scipy.optimize alone is ~49 MB of RSS; only the L-BFGS solver needs it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = (
+        "import sys, repro, repro.serving.http, repro.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.api import CachePolicy
@@ -244,21 +244,26 @@ class TestArrivalProcesses:
         assert all(0.0 <= t < 5.0 for t in first)
         assert all(b > a for a, b in zip(first, first[1:]))
 
-    @given(seed=seeds)
-    @settings(max_examples=30)
-    def test_onoff_empirical_rate(self, seed):
-        # Long-run mean rate = qps * on / (on + off).  With tail = 2.5 the
-        # period variance is finite; over ~60 cycles the duty cycle noise
-        # still dominates, so the band is generous.
+    def test_onoff_empirical_rate(self):
+        # Long-run mean rate = qps * on / (on + off).  The tail = 2.5 on/off
+        # periods are heavy: one seed's count has a std of ~7.6% of the mean,
+        # and a scan of seeds 0-1,499 found two outside +-45% (seeds 39 and
+        # 983), so the seeds are fixed rather than drawn.  Each seed keeps the
+        # +-45% band; their pooled count (std ~1.4%) must be within +-10%.
         qps, duration = 300.0, 30.0
-        n = sum(
-            1
-            for _ in onoff_arrivals(
-                qps, duration, mean_on_s=0.25, mean_off_s=0.25, tail=2.5, seed=seed
-            )
-        )
         expected = qps * duration * 0.5
-        assert 0.55 * expected < n < 1.45 * expected
+        counts = [
+            sum(
+                1
+                for _ in onoff_arrivals(
+                    qps, duration, mean_on_s=0.25, mean_off_s=0.25, tail=2.5, seed=seed
+                )
+            )
+            for seed in range(30)
+        ]
+        for seed, n in enumerate(counts):
+            assert 0.55 * expected < n < 1.45 * expected, (seed, n)
+        assert 0.9 * expected < sum(counts) / len(counts) < 1.1 * expected
 
     @given(seed=seeds)
     def test_diurnal_deterministic_and_monotone(self, seed):
